@@ -1,10 +1,13 @@
 """Exact bi-objective solvers.
 
 For a fixed path and a fixed set of charging stops, the remaining problem
-(how much to buy where) is a small linear program over the charge fractions,
-so global optima come from enumerating paths and stop subsets and solving
-each LP exactly. The budget-sweep front generator and the brute-force grid
-oracle both build on that.
+(how much to buy where) is the fixed-stop gas-station problem, which a greedy
+solves exactly. A cap on the other objective makes it parametric in the
+weight between time and cost: a walk over the weights at which two stops
+swap price order gives each subset's (time, cost) front, and a capped
+optimum lies on it. Global optima come from enumerating paths and stop
+subsets. The budget-sweep front sampler and the brute-force grid oracle
+both build on that; the simplex in `lp` is the test reference.
 
 min_time/min_cost and every budget round are lexicographic: they minimize
 the primary objective, then the other objective among primary-optimal
@@ -13,12 +16,12 @@ solutions, so every reported point is genuinely nondominated.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import model
 from .instance import Instance, RouteGraph
-from .lp import OPTIMAL, solve_lp
+# Unused here; perfbench's traced run wraps evroute.exact.solve_lp by this name.
+from .lp import OPTIMAL, solve_lp  # noqa: F401
 from .model import CHARGE_EPS, Objectives, RouteSolution
 from .pareto import FrontPoint, ParetoFront, filter_nondominated
 
@@ -27,6 +30,7 @@ DEFAULT_EVAL_CAP = 10**7
 TIE_TOL = 1e-9
 LEX_SLACK = 1e-9
 _CAP_SLACK = 1e-9
+_INF = float("inf")
 
 
 class PathCountError(RuntimeError):
@@ -82,10 +86,12 @@ def enumerate_paths(graph: RouteGraph, cap: int = DEFAULT_PATH_CAP) -> list[tupl
 
 
 class _PathData:
-    """Per-path constants shared by all subset LPs."""
+    """Per-path constants, and per stop subset the data that every charge
+    solve of one exact solve shares."""
 
     __slots__ = ("path", "k", "legs", "d_dest", "delta", "stop_time",
-                 "price_coef", "time_coef", "drive_time", "r", "alpha")
+                 "price_coef", "time_coef", "drive_time", "r", "alpha",
+                 "subsets", "fronts")
 
     def __init__(self, instance: Instance, path: tuple[int, ...]):
         g = instance.graph
@@ -103,12 +109,158 @@ class _PathData:
         self.drive_time = (sum(self.legs) + self.d_dest) / p.speed_kmh
         self.r = p.range_km
         self.alpha = p.initial_soc
+        self.subsets = [] if self.quick_reject() else self._subsets()
+        self.fronts: dict[tuple[int, ...], list] = {}
 
     def quick_reject(self) -> bool:
         """Necessary conditions no charging subset can fix."""
         if self.legs[0] > self.alpha * self.r + _CAP_SLACK * self.r:
             return True
         return any(d > self.r + _CAP_SLACK * self.r for d in self.legs[1:] + [self.d_dest])
+
+    def _subsets(self) -> list[tuple]:
+        """(time_lb, cost_lb, z, t0, lo, hi) for every stop subset z that
+        can make the path feasible, by size and then lexicographically.
+
+        t0 is the trip time without charging time; lo[t] <= Y[t] <= hi[t]
+        bound the battery fraction Y[t] bought up to the t-th stop of z;
+        time_lb and cost_lb are the subset's least time and least cost.
+        """
+        k, r, alpha = self.k, self.r, self.alpha
+        found = []
+
+        # Charging to the brim at every chosen stop maximizes every prefix
+        # SOC, so this greedy pass decides subset feasibility; a depth-first
+        # walk shares it between subsets with a common prefix. depl is the
+        # battery used up to a node, its stop detour included.
+        def walk(j: int, acc: float, prev: float, soc: float,
+                 z: tuple[int, ...], depl_z: tuple[float, ...]) -> None:
+            if j == k:
+                if soc - self.d_dest / r >= -1e-9:
+                    found.append((z, depl_z, prev))
+                return
+            for stop in (False, True):
+                a = acc + (self.legs[j] + (self.delta[j] if stop else 0.0))
+                depl = a / r
+                left = soc - (depl - prev)
+                if left < -1e-9:
+                    continue
+                if stop:
+                    walk(j + 1, a, depl, 1.0, z + (j,), depl_z + (depl,))
+                else:
+                    walk(j + 1, a, depl, left, z, depl_z)
+
+        walk(0, 0.0, 0.0, alpha, (), ())
+        found.sort(key=lambda f: (len(f[0]), f[0]))
+        out = []
+        for z, depl_z, depl_end in found:
+            t0 = self.drive_time + sum(self.stop_time[j] for j in z)
+            need = max(0.0, depl_end + self.d_dest / r - alpha)
+            # Arriving at the next stop (or D) must not run below empty;
+            # leaving a stop must not run above full.
+            lo = [max(0.0, d - alpha) for d in depl_z[1:]] + [need]
+            hi = [1.0 - alpha + d for d in depl_z]
+            # The least time and the least cost, each by one greedy; with
+            # the caps they decide most capped solves without the front.
+            a = [self.time_coef[j] for j in z]
+            b = [self.price_coef[j] for j in z]
+            time_lb = t0 + _dot(a, _greedy(lo, hi, list(zip(a, b))))
+            cost_lb = _dot(b, _greedy(lo, hi, list(zip(b, a))))
+            out.append((time_lb, cost_lb, z, t0, lo, hi))
+        return out
+
+    def front(self, z: tuple[int, ...], lo: list[float], hi: list[float]) -> list:
+        """The subset's (time, cost) Pareto front as vertices (A, B, ys) from
+        least charging time A to least cost B, where ys are the charges.
+
+        Each vertex is the greedy plan for the stop prices (1 - s) * time
+        + s * cost with s between two of the weights at which two stops
+        swap price order (a parametric LP, Ehrgott 2005)."""
+        verts = self.fronts.get(z)
+        if verts is not None:
+            return verts
+        a = [self.time_coef[j] for j in z]
+        b = [self.price_coef[j] for j in z]
+        m = len(z)
+        cuts = sorted({(a[j] - a[i]) / ((a[j] - a[i]) - (b[j] - b[i]))
+                       for i in range(m) for j in range(i + 1, m)
+                       if (a[j] - a[i]) * (b[j] - b[i]) < 0})
+        keys = [list(zip(a, b))]
+        for s0, s1 in zip(cuts, cuts[1:]):
+            s = 0.5 * (s0 + s1)
+            keys.append([(1.0 - s) * x + s * y for x, y in zip(a, b)])
+        keys.append(list(zip(b, a)))
+        verts = []
+        for key in keys:
+            ys = _greedy(lo, hi, key)
+            v = (_dot(a, ys), _dot(b, ys), ys)
+            if not verts or v[:2] != verts[-1][:2]:
+                verts.append(v)
+        self.fronts[z] = verts
+        return verts
+
+
+def _greedy(lo: list[float], hi: list[float], key: list) -> list[float]:
+    """Cheapest charges within lo <= cumulative charge <= hi for stop prices
+    ordered by key: each stop buys what reaches the next cheaper stop or D,
+    within a full battery (Khuller, Malekian, Mestre, TALG 2011)."""
+    m = len(key)
+    ys = []
+    prev = 0.0
+    for t in range(m):
+        n = next((s for s in range(t + 1, m) if key[s] < key[t]), m)
+        cum = max(min(lo[n - 1], hi[t], prev + 1.0), lo[t], prev)
+        ys.append(cum - prev)
+        prev = cum
+    return ys
+
+
+def _dot(xs: list[float], ys: list[float]) -> float:
+    return sum(x * y for x, y in zip(xs, ys))
+
+
+def _first_within(verts: list, c: int, cap: float) -> tuple | None:
+    """The first point along the polyline verts whose coordinate c is at
+    most cap, interpolated on the segment that crosses the cap."""
+    prev = None
+    for v in verts:
+        if v[c] <= cap:
+            if prev is None:
+                return v
+            th = (prev[c] - cap) / (prev[c] - v[c])
+            return (prev[0] + th * (v[0] - prev[0]), prev[1] + th * (v[1] - prev[1]),
+                    [p + th * (q - p) for p, q in zip(prev[2], v[2])])
+        prev = v
+    return None
+
+
+def _charge_solve(pd: _PathData, sub: tuple, wt: float, wc: float,
+                  cost_cap: float, time_cap: float) -> tuple[float, list[float]] | None:
+    """Least wt * time + wc * cost over the charges of one entry of
+    pd.subsets within the caps, as (value, charges), or None; the entry's
+    lower bounds have already checked the caps of the empty subset.
+
+    With nonnegative weights a capped optimum is Pareto optimal, so it lies
+    on the subset's front, between the point where the cost cap starts to
+    hold and the point where the time cap stops holding."""
+    _, _, z, t0, lo, hi = sub
+    if not z:
+        return wt * t0, []
+    if cost_cap == _INF and time_cap == _INF:
+        # Without caps one greedy at the objective's prices is optimal,
+        # with ties broken as the front's ends break them.
+        a = [pd.time_coef[j] for j in z]
+        b = [pd.price_coef[j] for j in z]
+        ys = _greedy(lo, hi, [(wt * x + wc * y, x, y) for x, y in zip(a, b)])
+        return wt * (t0 + _dot(a, ys)) + wc * _dot(b, ys), ys
+    verts = pd.front(z, lo, hi)
+    first = _first_within(verts, 1, cost_cap)
+    if first is None or first[0] > time_cap - t0:
+        return None
+    last = _first_within(verts[::-1], 0, time_cap - t0)
+    inner = [v for v in verts if first[0] < v[0] < last[0]]
+    a, b, ys = min([first] + inner + [last], key=lambda v: wt * v[0] + wc * v[1])
+    return wt * (t0 + a) + wc * b, ys
 
 
 @dataclass(frozen=True)
@@ -133,111 +285,33 @@ def _optimize_path_data(instance: Instance, pd: _PathData, objective: str,
                         cost_cap: float | None = None,
                         time_cap: float | None = None,
                         incumbent: float | None = None) -> PathPlan | None:
-    if objective == "weighted" and weights is None:
-        raise ValueError("weighted objective needs weights")
-    if pd.quick_reject():
-        return None
-    k, r, alpha = pd.k, pd.r, pd.alpha
-    best_value = incumbent
-    best: tuple[float, tuple[int, ...], list[float]] | None = None
+    if objective == "weighted":
+        if weights is None:
+            raise ValueError("weighted objective needs weights")
+        if min(weights) < 0:
+            raise ValueError("weights must be nonnegative")
+        wt, wc = weights
+    else:
+        wt, wc = (1.0, 0.0) if objective == "time" else (0.0, 1.0)
+    ccap = _INF if cost_cap is None else cost_cap
+    tcap = _INF if time_cap is None else time_cap
+    best_value = _INF if incumbent is None else incumbent
+    best: tuple[tuple[int, ...], list[float]] | None = None
 
-    for size in range(k + 1):
-        for z in itertools.combinations(range(k), size):
-            zset = set(z)
-            depl = []
-            acc = 0.0
-            for j in range(k):
-                acc += pd.legs[j] + (pd.delta[j] if j in zset else 0.0)
-                depl.append(acc / r)
-
-            # Charging to the brim at every chosen stop maximizes every
-            # prefix SOC, so this greedy pass decides subset feasibility.
-            soc = alpha
-            prev = 0.0
-            ok = True
-            for j in range(k):
-                soc -= depl[j] - prev
-                prev = depl[j]
-                if soc < -1e-9:
-                    ok = False
-                    break
-                if j in zset:
-                    soc = 1.0
-            if ok and soc - pd.d_dest / r < -1e-9:
-                ok = False
-            if not ok:
-                continue
-
-            t0 = pd.drive_time + sum(pd.stop_time[j] for j in z)
-            need = max(0.0, depl[-1] + pd.d_dest / r - alpha)
-            if z:
-                cost_lb = need * min(pd.price_coef[j] for j in z)
-                time_lb = t0 + need * min(pd.time_coef[j] for j in z)
-            else:
-                cost_lb = 0.0
-                time_lb = t0
-            if cost_cap is not None and cost_lb > cost_cap + _CAP_SLACK:
-                continue
-            if time_cap is not None and time_lb > time_cap + _CAP_SLACK:
-                continue
-            if best_value is not None:
-                if objective == "time":
-                    bound = time_lb
-                elif objective == "cost":
-                    bound = cost_lb
-                else:
-                    bound = weights[0] * time_lb + weights[1] * cost_lb
-                if bound >= best_value - TIE_TOL:
-                    continue
-
-            if not z:
-                value = t0 if objective == "time" else \
-                    0.0 if objective == "cost" else weights[0] * t0
-                ys: list[float] = []
-            else:
-                nv = len(z)
-                rows: list[list[float]] = []
-                rhs: list[float] = []
-                for j in range(k):
-                    nvars = bisect_left(z, j)
-                    if nvars == 0:
-                        continue  # constant arrivals were settled by the greedy pass
-                    rows.append([-1.0] * nvars + [0.0] * (nv - nvars))
-                    rhs.append(alpha - depl[j])
-                for t, j in enumerate(z):
-                    rows.append([1.0] * (t + 1) + [0.0] * (nv - t - 1))
-                    rhs.append(1.0 - alpha + depl[j])
-                rows.append([-1.0] * nv)
-                rhs.append(alpha - depl[-1] - pd.d_dest / r)
-                if cost_cap is not None:
-                    rows.append([pd.price_coef[j] for j in z])
-                    rhs.append(cost_cap)
-                if time_cap is not None:
-                    rows.append([pd.time_coef[j] for j in z])
-                    rhs.append(time_cap - t0)
-                if objective == "time":
-                    coefs = [pd.time_coef[j] for j in z]
-                    const = t0
-                elif objective == "cost":
-                    coefs = [pd.price_coef[j] for j in z]
-                    const = 0.0
-                else:
-                    coefs = [weights[0] * pd.time_coef[j]
-                             + weights[1] * pd.price_coef[j] for j in z]
-                    const = weights[0] * t0
-                status, y, val = solve_lp(coefs, rows, rhs, [1.0] * nv)
-                if status != OPTIMAL:
-                    continue
-                value = const + val
-                ys = [float(v) for v in y]
-
-            if best_value is None or value < best_value - TIE_TOL:
-                best_value = value
-                best = (value, z, ys)
+    for sub in pd.subsets:
+        time_lb, cost_lb = sub[0], sub[1]
+        if cost_lb > ccap + _CAP_SLACK or time_lb > tcap + _CAP_SLACK:
+            continue
+        if wt * time_lb + wc * cost_lb >= best_value - TIE_TOL:
+            continue
+        solved = _charge_solve(pd, sub, wt, wc, ccap, tcap)
+        if solved is not None and solved[0] < best_value - TIE_TOL:
+            best_value = solved[0]
+            best = (sub[2], solved[1])
 
     if best is None:
         return None
-    _, z, ys = best
+    z, ys = best
     plan = {pd.path[j]: y for j, y in zip(z, ys) if y > CHARGE_EPS}
     sol = RouteSolution(path=pd.path, charge_plan=plan)
     obj = model.evaluate(instance, sol)
@@ -356,7 +430,7 @@ def _point(plan: PathPlan) -> FrontPoint:
 
 def epsilon_constraint(instance: Instance, delta: float | None = None,
                        minimize: str = "time") -> ParetoFront:
-    """Pareto front by a budget sweep.
+    """A budget-step sample of the Pareto front, by a budget sweep.
 
     Solves the primary objective unconstrained, then repeatedly re-solves it
     under a budget on the other objective, tightening the budget just below

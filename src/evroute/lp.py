@@ -1,10 +1,9 @@
-"""Dense two-phase simplex for the tiny charge-allocation programs.
+"""Dense two-phase simplex for small linear programs.
 
-The exact solver issues one LP per (path, charging subset, budget) triple,
-which adds up to hundreds of thousands of problems with at most a handful of
-variables each, so call overhead dominates; this solver keeps each solve in
-the tens of microseconds. scipy.optimize.linprog serves as the reference
-implementation in the test suite.
+The test suite uses it as the reference for the exact solver's greedy
+charge solve: one LP per (path, stop subset, caps), with at most a handful
+of variables. scipy.optimize.linprog in turn is the reference for this
+solver.
 """
 from __future__ import annotations
 
@@ -105,7 +104,9 @@ def solve_lp(c, a_ub, b_ub, upper, tol: float = 1e-9,
         status = _pivot_loop(T, obj1, basis, width, tol, max_iter)
         if status != OPTIMAL:
             raise LpError("phase 1 cannot be unbounded")
-        if -obj1[-1] > 1e-7:
+        # Judge each row by its own leftover artificial, as HiGHS does, so
+        # rows that are each within tolerance cannot add up to infeasible.
+        if (T[basis >= n + m, -1] > 1e-7).any():
             return INFEASIBLE, None, None
 
     obj2 = np.zeros(width + 1)

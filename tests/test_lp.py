@@ -58,6 +58,14 @@ class TestHandPicked:
         assert status == OPTIMAL
         assert val == pytest.approx(-1.0)
 
+    def test_rows_each_within_tolerance_are_feasible(self):
+        # two rows each 5.96e-8 short: their sum exceeds 1e-7, but each
+        # row is within tolerance, and HiGHS calls the problem optimal
+        args = ([0.0], [[0.0], [0.0]], [-5.96e-8] * 2, [1.0])
+        status, _, val = solve_lp(*args)
+        assert status == OPTIMAL == scipy_solve(*args)[0]
+        assert val == pytest.approx(0.0)
+
     def test_zero_variables_edge(self):
         status, x, val = solve_lp([], np.zeros((0, 0)), [], [])
         assert status == OPTIMAL
