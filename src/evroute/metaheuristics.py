@@ -10,9 +10,14 @@ is explicitly marked as failed, never to a malformed one.
 run_ga and run_pso scalarize the two objectives with caller-supplied
 weights and penalize constraint violations, so they search the full
 continuous space while reporting only as-good-or-better feasible plans
-over time. Both record a per-epoch history (best fitness, best
-objectives, population diversity, exploration/exploitation split)
-suitable for convergence plots.
+over time. They score a whole population per call with PopulationFitness,
+which decodes every row and runs the SOC recursion and objectives as
+array operations over the population, giving the same floats as decode()
+followed by model.penalized_fitness; fitness() is its one-row case, and
+decode() with the model's checker stays the scalar reference. Both
+record a per-epoch history (best fitness, best objectives, population
+diversity, exploration/exploitation split) suitable for convergence
+plots.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import model
 from .instance import Instance, RouteGraph
-from .model import Objectives, PENALTY_BASE, RouteSolution
+from .model import CHARGE_EPS, Objectives, PENALTY_BASE, RouteSolution, SOC_TOL
 
 # Velocity clamp for PSO, in encoding units.
 VELOCITY_LIMIT = 0.2
@@ -100,17 +105,131 @@ def decode(instance: Instance, vector: Sequence[float]) -> RouteSolution | Decod
     return RouteSolution(path=tuple(path), charge_plan=plan)
 
 
+class PopulationFitness:
+    """fitness() for a whole population at once, with the same floats.
+
+    Built once per instance and weights from arrays in sorted-id order
+    (adjacency, edge km, source and destination km, and each station's
+    detour, wait, power and price). Calling it on a (P, n^2 + 3n) array
+    returns the P values fitness() gives row by row: decode()'s argmax
+    walk, one step per layer for all rows together, then the SOC recursion
+    of model._soc_scan and the objectives of model._objectives over path
+    positions, with every float operation in the scalar code's order. A
+    decoded candidate never breaks a structural constraint or c13, so its
+    penalty is the sum of its SOC violation magnitudes. A non-finite entry
+    raises ValueError.
+    """
+
+    def __init__(self, instance: Instance,
+                 weights: tuple[float, float] = (0.5, 0.5)):
+        self.weights = model.check_weights(weights)
+        g = instance.graph
+        nodes = g.node_ids()
+        n = len(nodes)
+        pos = {u: i for i, u in enumerate(nodes)}
+        self.n = n
+        self.adj = np.zeros((n, n), dtype=bool)
+        self.edge_km = np.zeros((n, n))
+        for (i, j), km in g.edges.items():
+            self.adj[pos[i], pos[j]] = True
+            self.edge_km[pos[i], pos[j]] = km
+        self.has_out = self.adj.any(axis=1)
+        # Ascending positions, so argmax's first maximum is the lowest id.
+        self.first = np.array(sorted(pos[u] for u in g.first_layer))
+        self.last = np.array(sorted(pos[u] for u in g.last_layer))
+        self.src_km = np.zeros(n)
+        self.src_km[[pos[u] for u in g.source_dist]] = list(g.source_dist.values())
+        self.dst_km = np.zeros(n)
+        self.dst_km[[pos[u] for u in g.dest_dist]] = list(g.dest_dist.values())
+        st = [instance.stations[u] for u in nodes]
+        self.detour = np.array([s.detour_km for s in st])
+        self.wait = np.array([s.wait_h for s in st])
+        self.power = np.array([s.power_kw for s in st])
+        self.price = np.array([s.price for s in st])
+        self.params = instance.params
+        self.range_km = instance.range_km
+
+    def __call__(self, population) -> np.ndarray:
+        pop = np.asarray(population, dtype=float)
+        n = self.n
+        want = n * n + 3 * n
+        if pop.ndim != 2 or pop.shape[1] != want:
+            raise ValueError(f"population must have shape (P, {want}), got {pop.shape}")
+        if not np.isfinite(pop).all():
+            raise ValueError("population must be finite")
+        rows = np.arange(len(pop))
+        x = pop[:, :n * n].reshape(len(pop), n, n)
+        y = np.clip(pop[:, n * n:n * n + n], 0.0, 1.0)
+        src = self.first[np.argmax(pop[:, n * n + n + self.first], axis=1)]
+        dest = self.last[np.argmax(pop[:, n * n + 2 * n + self.last], axis=1)]
+
+        # (node, on path) per path position; a walk longer than n nodes or
+        # stuck at a node with no out-edge never reaches dest.
+        steps = [(src, np.ones(len(pop), dtype=bool))]
+        cur = src
+        live = cur != dest
+        for _ in range(n - 1):
+            live = live & self.has_out[cur]
+            if not live.any():
+                break
+            scores = np.where(self.adj[cur], x[rows, cur], -np.inf)
+            cur = np.where(live, np.argmax(scores, axis=1), cur)
+            steps.append((cur, live))
+            live = live & (cur != dest)
+        decoded = cur == dest
+
+        p = self.params
+        r = self.range_km
+        soc = np.full(len(pop), p.initial_soc)
+        penalty = np.zeros(len(pop))
+        drive = self.src_km[src] + self.dst_km[dest]
+        stops = []
+        prev = None
+        for u, on in steps:
+            yu = y[rows, u]
+            stop = yu > CHARGE_EPS
+            detour = np.where(stop, self.detour[u], 0.0)
+            if prev is None:
+                leg = self.src_km[u]
+            else:
+                leg = self.edge_km[prev, u]
+                drive = np.where(on, drive + leg, drive)
+            arrival = soc - (detour + leg) / r
+            penalty = np.where(on & (arrival < -SOC_TOL), penalty + -arrival, penalty)
+            after = arrival + np.where(stop, yu, 0.0)
+            over = on & (after > 1.0 + SOC_TOL)
+            under = on & (after < -SOC_TOL)
+            penalty = np.where(over, penalty + (after - 1.0), penalty)
+            penalty = np.where(under, penalty + -after, penalty)
+            soc = np.where(on, after, soc)
+            stops.append((on & stop, u, yu))
+            prev = u
+        beta = soc - self.dst_km[dest] / r
+        penalty = np.where(beta < -SOC_TOL, penalty + -beta, penalty)
+        penalty = np.where(beta > 1.0 + SOC_TOL, penalty + (beta - 1.0), penalty)
+
+        time = drive / p.speed_kmh
+        cost = np.zeros(len(pop))
+        for stop, u, yu in stops:
+            time = np.where(stop, time + (self.detour[u] / p.speed_kmh + self.wait[u]
+                                          + yu * p.capacity_kwh / self.power[u]), time)
+            cost = np.where(stop, cost + yu * p.capacity_kwh * self.price[u], cost)
+        wt, wc = self.weights
+        # Each violation adds more than SOC_TOL, so 0 means feasible.
+        value = np.where(penalty > 0.0, PENALTY_BASE + penalty, wt * time + wc * cost)
+        return np.where(decoded, value, PENALTY_BASE + n)
+
+
 def fitness(instance: Instance, vector: Sequence[float],
             weights: tuple[float, float] = (0.5, 0.5)) -> float:
     """Scalar fitness of one encoding vector (lower is better).
 
-    Decodable candidates get the weighted penalized objective; walks that
-    never complete get a penalty above every decodable candidate's base.
+    Decodable candidates get model.penalized_fitness of their decoded plan;
+    walks that never complete get a penalty above every decodable
+    candidate's base. This is PopulationFitness on a one-row population.
     """
-    decoded = decode(instance, vector)
-    if isinstance(decoded, DecodeFailure):
-        return PENALTY_BASE + instance.graph.n_nodes
-    return model.penalized_fitness(instance, decoded, weights)
+    row = np.asarray(vector, dtype=float)[None, :]
+    return float(PopulationFitness(instance, weights)(row)[0])
 
 
 @dataclass(frozen=True)
@@ -162,10 +281,13 @@ class RunHistory:
     best_cost: tuple[float, ...]
     diversity: tuple[float, ...]
     exploration_pct: tuple[float, ...]
-    exploitation_pct: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.epoch)
+
+    @property
+    def exploitation_pct(self) -> tuple[float, ...]:
+        return tuple(100.0 - e for e in self.exploration_pct)
 
 
 @dataclass(frozen=True)
@@ -225,16 +347,16 @@ class _Recorder:
     def add(self, epoch: int, best_fit: float, best_vec, population) -> None:
         obj = _decoded_objectives(self.instance, best_vec)
         t, c = (obj.time_h, obj.cost) if obj is not None else (math.nan, math.nan)
-        div, explo, exploit = diversity_metrics(population, self.div_max)
+        div, explo, _ = diversity_metrics(population, self.div_max)
         self.div_max = max(self.div_max, div)
-        self.rows.append((epoch, float(best_fit), t, c, div, explo, exploit))
+        self.rows.append((epoch, float(best_fit), t, c, div, explo))
 
     def history(self) -> RunHistory:
         cols = tuple(zip(*self.rows))
         return RunHistory(epoch=tuple(int(e) for e in cols[0]),
                           best_fitness=cols[1], best_time_h=cols[2],
                           best_cost=cols[3], diversity=cols[4],
-                          exploration_pct=cols[5], exploitation_pct=cols[6])
+                          exploration_pct=cols[5])
 
 
 def _result(instance: Instance, best_vec, best_fit: float,
@@ -246,10 +368,6 @@ def _result(instance: Instance, best_vec, best_fit: float,
         sol = None
     return SearchResult(solution=sol, objectives=obj,
                         fitness=float(best_fit), history=rec.history())
-
-
-def _eval_population(instance: Instance, pop, weights) -> np.ndarray:
-    return np.array([fitness(instance, row, weights) for row in pop])
 
 
 def run_ga(instance: Instance, cfg: GAConfig = GAConfig(),
@@ -264,8 +382,9 @@ def run_ga(instance: Instance, cfg: GAConfig = GAConfig(),
     rng = np.random.default_rng(cfg.seed)
     dim = encoding_dim(instance.graph)
     n = cfg.population
+    score = PopulationFitness(instance, weights)
     pop = rng.random((n, dim))
-    fits = _eval_population(instance, pop, weights)
+    fits = score(pop)
     order = np.argsort(fits, kind="stable")
     pop, fits = pop[order], fits[order]
 
@@ -290,7 +409,7 @@ def run_ga(instance: Instance, cfg: GAConfig = GAConfig(),
         noise = rng.normal(0.0, MUTATION_SIGMA, size=(n, dim))
         off = np.clip(off + mut * noise, 0.0, 1.0)
 
-        off_fits = _eval_population(instance, off, weights)
+        off_fits = score(off)
         combined = np.vstack([pop, off])
         all_fits = np.concatenate([fits, off_fits])
         # Stable sort prefers incumbents on exact ties.
@@ -314,7 +433,8 @@ def run_pso(instance: Instance, cfg: PSOConfig = PSOConfig(),
     n = cfg.population
     x = rng.random((n, dim))
     v = np.zeros((n, dim))
-    fits = _eval_population(instance, x, weights)
+    score = PopulationFitness(instance, weights)
+    fits = score(x)
     pbest = x.copy()
     pbest_fits = fits.copy()
     g_idx = int(np.argmin(pbest_fits))
@@ -334,7 +454,7 @@ def run_pso(instance: Instance, cfg: PSOConfig = PSOConfig(),
         v = np.clip(w * v + cfg.c1 * r1 * (pbest - x) + cfg.c2 * r2 * (gbest - x),
                     -VELOCITY_LIMIT, VELOCITY_LIMIT)
         x = np.clip(x + v, 0.0, 1.0)
-        fits = _eval_population(instance, x, weights)
+        fits = score(x)
         improved = fits < pbest_fits
         pbest[improved] = x[improved]
         pbest_fits[improved] = fits[improved]

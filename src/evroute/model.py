@@ -311,6 +311,15 @@ def check_feasible(instance: Instance, solution: RouteSolution) -> ConstraintRep
     return ConstraintReport(tuple(viols))
 
 
+def check_weights(weights: tuple[float, float]) -> tuple[float, float]:
+    """The (time, cost) weight pair, or ValueError unless both are
+    nonnegative and not both zero."""
+    wt, wc = weights
+    if wt < 0 or wc < 0 or (wt == 0 and wc == 0):
+        raise ValueError("weights must be nonnegative and not both zero")
+    return wt, wc
+
+
 def penalized_fitness(instance: Instance, solution: RouteSolution,
                       weights: tuple[float, float] = (0.5, 0.5)) -> float:
     """Weighted scalarization with a graded infeasibility penalty.
@@ -320,11 +329,14 @@ def penalized_fitness(instance: Instance, solution: RouteSolution,
     infeasible candidate above every feasible one while still ranking
     infeasible candidates by how badly they fail.
     """
-    wt, wc = weights
-    if wt < 0 or wc < 0 or (wt == 0 and wc == 0):
-        raise ValueError("weights must be nonnegative and not both zero")
+    wt, wc = check_weights(weights)
     report = check_feasible(instance, solution)
     if not report.feasible:
-        return PENALTY_BASE + sum(v.magnitude for v in report.violations)
+        # Left to right in list order, which the population kernel in
+        # metaheuristics repeats; sum() compensates from Python 3.12 on.
+        total = 0.0
+        for v in report.violations:
+            total += v.magnitude
+        return PENALTY_BASE + total
     obj = _objectives(instance, solution)
     return wt * obj.time_h + wc * obj.cost

@@ -1,17 +1,22 @@
 """Encoding/decoding, fitness, GA/PSO runs, diversity metrics, history CSV."""
 import csv
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evroute.cli import PRESETS
 from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
-                              generate_instance)
+                              generate_instance, validate)
 from evroute.metaheuristics import (HISTORY_CSV_COLUMNS, DecodeFailure,
-                                    GAConfig, PSOConfig, decode, diversity,
-                                    diversity_metrics, encoding_dim, fitness,
-                                    run_ga, run_pso, write_history_csv)
-from evroute.model import (PENALTY_BASE, RouteSolution, evaluate,
+                                    GAConfig, PopulationFitness, PSOConfig,
+                                    decode, diversity, diversity_metrics,
+                                    encoding_dim, fitness, run_ga, run_pso,
+                                    write_history_csv)
+from evroute.model import (CHARGE_EPS, PENALTY_BASE, RouteSolution, evaluate,
                            path_structure_error, penalized_fitness,
                            try_evaluate)
 
@@ -142,6 +147,118 @@ class TestFitness:
         assert try_evaluate(inst, sol) is None
         infeasible = fitness(inst, v, (1.0, 1.0))
         assert PENALTY_BASE <= infeasible < PENALTY_BASE + 4
+
+
+def skip_layer_instance(initial_soc):
+    """Unsorted ids, edges that skip a layer (so decoded paths have 2 or 3
+    nodes) and a dead end at node 12; validate() accepts it."""
+    levels = ((10, 3), (7, 21, 12), (40, 5))
+    edges = {(10, 7): 220.0, (10, 40): 410.0, (3, 21): 180.0, (3, 12): 150.0,
+             (3, 5): 390.0, (7, 40): 260.0, (7, 5): 330.0, (21, 5): 240.0}
+    stations = {u: station(u, price=0.1 + 0.01 * u, power=(7.0, 22.0, 50.0)[u % 3],
+                           wait=0.1 * (u % 4), detour=float(u % 5))
+                for layer in levels for u in layer}
+    graph = RouteGraph(levels, edges, {10: 160.0, 3: 90.0}, {40: 200.0, 5: 310.0})
+    return Instance(params=VehicleParams(initial_soc=initial_soc),
+                    stations=stations, graph=graph, seed=0, shape=(3, 3, 1.0))
+
+
+def reference_fitness(inst, vector, weights):
+    decoded = decode(inst, vector)
+    if isinstance(decoded, DecodeFailure):
+        return PENALTY_BASE + inst.graph.n_nodes
+    return penalized_fitness(inst, decoded, weights)
+
+
+# Charge genes on both sides of each clamp and of the no-stop threshold.
+CHARGE_EDGES = (0.0, 1.0, CHARGE_EPS, np.nextafter(CHARGE_EPS, 1.0), 5e-10,
+                2e-9, -0.3, -1e-12, 1.0 + 1e-12, 1.7)
+
+
+@st.composite
+def kernel_cases(draw):
+    soc = draw(st.sampled_from([1.0, 0.5, 0.2, 0.0]))
+    if draw(st.booleans()):
+        inst = skip_layer_instance(soc)
+    else:
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 5)),
+                 draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])))
+        params = VehicleParams(initial_soc=soc,
+                               km_per_kwh=draw(st.sampled_from([2.0, 6.0, 12.0])))
+        inst = generate_instance(shape, params, seed=draw(st.integers(0, 10**6)))
+    weights = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), None]))
+    if weights is None:
+        weights = (draw(st.floats(0.0, 10.0)), draw(st.floats(0.01, 10.0)))
+    return inst, weights, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPopulationFitness:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_equals_scalar_reference_exactly(self, case):
+        inst, weights, seed = case
+        n = inst.graph.n_nodes
+        rng = np.random.default_rng(seed)
+        pop = rng.random((60, encoding_dim(inst.graph)))
+        pop[:20] = np.round(pop[:20] * 2) / 2  # score ties
+        charges = pop[:, n * n:n * n + n]
+        pick = rng.random(charges.shape) < 0.5
+        charges[pick] = rng.choice(CHARGE_EDGES, size=int(pick.sum()))
+        got = PopulationFitness(inst, weights)(pop)
+        want = [reference_fitness(inst, row, weights) for row in pop]
+        assert got.tolist() == want
+        assert [fitness(inst, row, weights) for row in pop[:5]] == want[:5]
+
+    def test_skip_layer_graph_covers_every_outcome(self):
+        # feasible, SOC-infeasible and undecodable rows all occur
+        inst = skip_layer_instance(0.5)
+        assert validate(inst) == []
+        failed = PENALTY_BASE + inst.graph.n_nodes
+        pop = np.random.default_rng(1).random((200, encoding_dim(inst.graph)))
+        got = PopulationFitness(inst, (1.0, 1.0))(pop)
+        assert (got < PENALTY_BASE).any()
+        assert ((got > PENALTY_BASE) & (got < failed)).any()
+        assert (got == failed).any()
+
+    def test_rejects_bad_input(self):
+        inst = bipartite_instance()
+        with pytest.raises(ValueError, match="shape"):
+            PopulationFitness(inst, (1.0, 1.0))(np.zeros(28))
+        with pytest.raises(ValueError, match="finite"):
+            fitness(inst, vec28(x=[(2, math.nan)]), (1.0, 1.0))
+        with pytest.raises(ValueError, match="weights"):
+            PopulationFitness(inst, (0.0, 0.0))
+
+
+# sha256 of the history CSV and repr(fitness), pinned from the scalar
+# per-candidate loop that the population kernel replaced.
+GOLDEN_RUNS = [
+    ("instance1", 108, "ga",
+     "036073ed0f85e4758aa079f26aba1f805f50dbedc3b80ffc5560827155373121",
+     "29.100434428028173"),
+    ("instance1", 108, "pso",
+     "338985c4ee0b1d24884a87f30c0bc211ce201aca8bb0240c104a3fcf061ed9f6",
+     "28.958039980233295"),
+    ("instance4", 202, "ga",
+     "7fefc28bd885427366cc615d4dc5dda00bfd7dae373e8cf5b961430663731359",
+     "136.29297538437237"),
+    ("instance4", 202, "pso",
+     "73af60626d3b1c92ad2a55f2db989178d5f0562fbd0bf2a89abe1c8a736187a0",
+     "132.96939069031404"),
+]
+
+
+@pytest.mark.parametrize("preset,seed,method,digest,best", GOLDEN_RUNS)
+def test_golden_history(tmp_path, preset, seed, method, digest, best):
+    inst = generate_instance(PRESETS[preset], seed=seed)
+    if method == "ga":
+        res = run_ga(inst, GAConfig(population=30, epochs=40, seed=100), (1.0, 1.0))
+    else:
+        res = run_pso(inst, PSOConfig(population=30, epochs=40, seed=100), (1.0, 1.0))
+    dest = tmp_path / "history.csv"
+    write_history_csv(res.history, dest)
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+    assert repr(res.fitness) == best
 
 
 class TestDiversity:
