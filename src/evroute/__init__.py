@@ -23,6 +23,6 @@ from .model import (ConstraintReport, InfeasibleRouteError, Objectives,
                     evaluate, penalized_fitness, soc_trace, try_evaluate)
 from .pareto import (FrontComparison, FrontCsvError, FrontPoint, ParetoFront,
                      dominates, filter_nondominated, front_compare,
-                     read_front_csv, write_front_csv)
+                     point_classes, read_front_csv, write_front_csv)
 
 __version__ = "0.1.0"

@@ -27,8 +27,11 @@ from . import exact
 from .exact import InfeasibleInstanceError, PathCountError, ResourceCapError
 from .instance import InstanceFormatError, VehicleParams, generate_instance, load, save
 from .metaheuristics import GAConfig, PSOConfig, run_ga, run_pso, write_history_csv
-from .pareto import (FrontCsvError, FrontPoint, dominates, front_compare,
-                     read_front_csv, write_front_csv)
+from .model import check_weights
+from .pareto import (FrontCsvError, FrontPoint, front_compare, read_front_csv,
+                     write_front_csv)
+# Re-exported for callers that classify points the way `compare` reports them.
+from .pareto import point_classes  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,35 +141,18 @@ def _manifest_path(primary_output: Path) -> Path:
     return primary_output.with_name(primary_output.name + ".manifest")
 
 
-def point_classes(points, against) -> tuple[str, ...]:
-    """Per-point dominance class of each point relative to another front.
-
-    'dominated' wins when a point is both dominated by one reference point
-    and dominating another (possible only if the reference set is not an
-    antichain).
-    """
-    classes = []
-    for p in points:
-        if any(dominates(q, p) for q in against):
-            classes.append("dominated")
-        elif any(dominates(p, q) for q in against):
-            classes.append("dominating")
-        else:
-            classes.append("nondominated")
-    return tuple(classes)
-
-
 def _parse_weights(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise _CliError(EXIT_USAGE, "--weights must be two comma-separated numbers")
     try:
-        wt, wc = float(parts[0]), float(parts[1])
+        weights = float(parts[0]), float(parts[1])
     except ValueError:
         raise _CliError(EXIT_USAGE, f"--weights must be numeric, got {text!r}")
-    if wt < 0 or wc < 0 or (wt == 0 and wc == 0):
+    try:
+        return check_weights(weights)
+    except ValueError:
         raise _CliError(EXIT_USAGE, "--weights must be nonnegative and not both zero")
-    return wt, wc
 
 
 def _parse_delta(text: str) -> float | None:
@@ -298,8 +284,7 @@ def _cmd_compare(args, argv: list[str]) -> int:
     front_a = read_front_csv(args.front_a)
     front_b = read_front_csv(args.front_b)
     comparison = front_compare(front_a, front_b)
-    classes_a = point_classes(front_a, front_b)
-    classes_b = point_classes(front_b, front_a)
+    classes_a, classes_b = comparison.a_classes, comparison.b_classes
 
     report = args.report or _out_dir() / "compare-report.csv"
     report.parent.mkdir(parents=True, exist_ok=True)

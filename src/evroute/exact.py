@@ -288,9 +288,7 @@ def _optimize_path_data(instance: Instance, pd: _PathData, objective: str,
     if objective == "weighted":
         if weights is None:
             raise ValueError("weighted objective needs weights")
-        if min(weights) < 0:
-            raise ValueError("weights must be nonnegative")
-        wt, wc = weights
+        wt, wc = model.check_weights(weights)
     else:
         wt, wc = (1.0, 0.0) if objective == "time" else (0.0, 1.0)
     ccap = _INF if cost_cap is None else cost_cap

@@ -3,12 +3,14 @@ seeded random generation, validation, and JSON serialization.
 
 The trip runs from an implicit origin S to an implicit destination D.
 S connects only to layer-0 stations, D is reached only from last-layer
-stations, and every station-to-station edge goes from an earlier layer
-to a strictly later one, so the graph is acyclic by construction.
+stations, and every station-to-station edge joins consecutive layers, so
+the graph is acyclic by construction and every S->D path visits exactly
+one station per layer.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,9 +20,6 @@ import numpy as np
 # explicitly, so loaded files may override this map.
 LEVEL_POWER_KW = {"L1": 7.0, "L2": 22.0, "L3": 50.0}
 CHARGER_LEVELS = ("L1", "L2", "L3")
-
-# Distances at or above this many km mark absent edges in imported matrices.
-MATRIX_SENTINEL_KM = 1e5
 
 # Sampling parameters for the synthetic instance family.
 DIST_MEAN_KM, DIST_SD_KM, DIST_MIN_KM = 300.0, 50.0, 1.0
@@ -70,7 +69,7 @@ class RouteGraph:
     """Layered DAG of stations plus the S/D boundary distances.
 
     levels is an ordered partition of node ids; edges maps (i, j) to km with
-    i in an earlier layer than j; source_dist/dest_dist give the S->i and
+    i and j in consecutive layers; source_dist/dest_dist give the S->i and
     i->D km for layer-0 and last-layer nodes respectively.
     """
 
@@ -233,30 +232,6 @@ def generate_instance(shape: tuple[int, int, float],
                     shape=(int(n_levels), int(max_per_level), float(p_edge)))
 
 
-def graph_from_matrix(levels: list[list[int]], dist: np.ndarray,
-                      source_dist: list[float], dest_dist: list[float],
-                      sentinel_km: float = MATRIX_SENTINEL_KM) -> RouteGraph:
-    """Build a RouteGraph from a dense distance matrix.
-
-    Entries >= sentinel_km mark absent edges. Only entries from an earlier
-    layer to a strictly later one are read; source_dist/dest_dist are given
-    for layer-0 / last-layer nodes in layer order, same sentinel rule.
-    """
-    levels_t = tuple(tuple(l) for l in levels)
-    layer = {u: k for k, l in enumerate(levels_t) for u in l}
-    dist = np.asarray(dist, dtype=float)
-    edges = {}
-    for i in layer:
-        for j in layer:
-            if layer[i] < layer[j] and dist[i, j] < sentinel_km:
-                edges[(i, j)] = float(dist[i, j])
-    src = {u: float(d) for u, d in zip(levels_t[0], source_dist)
-           if d < sentinel_km}
-    dst = {u: float(d) for u, d in zip(levels_t[-1], dest_dist)
-           if d < sentinel_km}
-    return RouteGraph(levels_t, edges, src, dst)
-
-
 def _has_route(graph: RouteGraph) -> bool:
     last = set(graph.last_layer)
     stack = list(graph.first_layer)
@@ -282,12 +257,10 @@ def validate(instance: Instance,
     """
     errs: list[str] = []
     p = instance.params
-    if p.speed_kmh <= 0:
-        errs.append(f"params.speed_v must be > 0, got {p.speed_kmh}")
-    if p.capacity_kwh <= 0:
-        errs.append(f"params.capacity_C must be > 0, got {p.capacity_kwh}")
-    if p.km_per_kwh <= 0:
-        errs.append(f"params.mileage_gamma must be > 0, got {p.km_per_kwh}")
+    for name, value in (("speed_v", p.speed_kmh), ("capacity_C", p.capacity_kwh),
+                        ("mileage_gamma", p.km_per_kwh)):
+        if not 0 < value < math.inf:
+            errs.append(f"params.{name} must be > 0 and finite, got {value}")
     if not (0.0 <= p.initial_soc <= 1.0):
         errs.append(f"params.initial_soc_alpha must be in [0, 1], got {p.initial_soc}")
 
@@ -314,14 +287,12 @@ def validate(instance: Instance,
             errs.append(f"station keyed {u} has id {st.id}")
         if st.level not in CHARGER_LEVELS:
             errs.append(f"station {u} has unknown level {st.level!r}")
-        if st.power_kw <= 0:
-            errs.append(f"station {u} power_kw must be > 0, got {st.power_kw}")
-        if st.price < 0:
-            errs.append(f"station {u} price must be >= 0, got {st.price}")
-        if st.wait_h < 0:
-            errs.append(f"station {u} wait_h must be >= 0, got {st.wait_h}")
-        if st.detour_km < 0:
-            errs.append(f"station {u} detour_km must be >= 0, got {st.detour_km}")
+        if not 0 < st.power_kw < math.inf:
+            errs.append(f"station {u} power_kw must be > 0 and finite, got {st.power_kw}")
+        for name in ("price", "wait_h", "detour_km"):
+            value = getattr(st, name)
+            if not 0 <= value < math.inf:
+                errs.append(f"station {u} {name} must be >= 0 and finite, got {value}")
         if (level_power is not None and st.level in level_power
                 and st.power_kw != level_power[st.level]):
             errs.append(f"station {u} power_kw {st.power_kw} does not match "
@@ -331,22 +302,20 @@ def validate(instance: Instance,
         if i not in nodes or j not in nodes:
             errs.append(f"edge ({i}, {j}) references unknown node")
             continue
-        if g.layer_of(i) >= g.layer_of(j):
+        if g.layer_of(j) != g.layer_of(i) + 1:
             errs.append(f"edge ({i}, {j}) goes from layer {g.layer_of(i)} to "
-                        f"layer {g.layer_of(j)}; edges must move to a strictly later layer")
-        if d <= 0:
-            errs.append(f"edge ({i}, {j}) distance must be > 0, got {d}")
+                        f"layer {g.layer_of(j)}; edges must join consecutive layers")
+        if not 0 < d < math.inf:
+            errs.append(f"edge ({i}, {j}) distance must be > 0 and finite, got {d}")
 
     if set(g.source_dist) != set(g.first_layer):
         errs.append("graph.source_dist keys must be exactly the layer-0 nodes")
     if set(g.dest_dist) != set(g.last_layer):
         errs.append("graph.dest_dist keys must be exactly the last-layer nodes")
-    for u, d in sorted(g.source_dist.items()):
-        if d <= 0:
-            errs.append(f"graph.source_dist[{u}] must be > 0, got {d}")
-    for u, d in sorted(g.dest_dist.items()):
-        if d <= 0:
-            errs.append(f"graph.dest_dist[{u}] must be > 0, got {d}")
+    for side, dists in (("source_dist", g.source_dist), ("dest_dist", g.dest_dist)):
+        for u, d in sorted(dists.items()):
+            if not 0 < d < math.inf:
+                errs.append(f"graph.{side}[{u}] must be > 0 and finite, got {d}")
 
     n_levels, max_per_level, p_edge = instance.shape
     if len(g.levels) != n_levels:
@@ -399,15 +368,28 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def load(source: str | Path) -> Instance:
-    """Read an instance JSON file; raises InstanceFormatError naming the
-    offending field on schema problems and listing violations on invalid data."""
+    """Read an instance JSON file; raises InstanceFormatError on schema
+    problems (naming the offending field), on a field of the wrong type,
+    and on invalid data (listing every violation)."""
     try:
         raw = json.loads(Path(source).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise InstanceFormatError(f"not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise InstanceFormatError("top level must be a JSON object")
+    try:
+        inst = _instance_from_dict(raw)
+    except InstanceFormatError:
+        raise
+    except (TypeError, ValueError, AttributeError, OverflowError) as e:
+        raise InstanceFormatError(f"wrongly typed field: {e}") from e
+    errs = validate(inst)
+    if errs:
+        raise InstanceFormatError("invalid instance: " + "; ".join(errs))
+    return inst
 
+
+def _instance_from_dict(raw: dict) -> Instance:
     pr = _require(raw, "params", "$")
     params = VehicleParams(
         speed_kmh=float(_require(pr, "speed_v", "params")),
@@ -446,14 +428,10 @@ def load(source: str | Path) -> Instance:
     shape_raw = _require(raw, "shape", "$")
     if len(shape_raw) != 3:
         raise InstanceFormatError("shape must be [n_levels, max_per_level, p_edge]")
-    inst = Instance(
+    return Instance(
         params=params,
         stations=stations,
         graph=RouteGraph(levels, edges, source_dist, dest_dist),
         seed=int(_require(raw, "seed", "$")),
         shape=(int(shape_raw[0]), int(shape_raw[1]), float(shape_raw[2])),
     )
-    errs = validate(inst)
-    if errs:
-        raise InstanceFormatError("invalid instance: " + "; ".join(errs))
-    return inst

@@ -3,9 +3,10 @@
 A candidate is a flat vector in [0,1]^(n^2 + 3n) for n stations: a
 row-major successor-score matrix, per-station charge fractions, and
 source/destination selection scores. decode() turns a vector into a
-concrete RouteSolution by argmax walks restricted to edges that actually
-exist, so every candidate either decodes to a structurally sound path or
-is explicitly marked as failed, never to a malformed one.
+concrete RouteSolution by an argmax walk restricted to edges that actually
+exist, one node per layer since edges join consecutive layers, so every
+candidate either decodes to a structurally sound path or is explicitly
+marked as failed, never to a malformed one.
 
 run_ga and run_pso scalarize the two objectives with caller-supplied
 weights and penalize constraint violations, so they search the full
@@ -70,10 +71,10 @@ def decode(instance: Instance, vector: Sequence[float]) -> RouteSolution | Decod
 
     The source is the highest-scoring first-layer node, the destination
     the highest-scoring last-layer node, and each step follows the
-    highest-scoring existing out-edge. The charge plan carries the charge
-    gene (clamped to [0,1]) of every visited node. Returns DecodeFailure
-    when the walk dead-ends before the destination or takes more steps
-    than there are nodes.
+    highest-scoring existing out-edge, one node per layer. The charge plan
+    carries the charge gene (clamped to [0,1]) of every visited node.
+    Returns DecodeFailure when the walk dead-ends or ends at a last-layer
+    node other than the destination. A non-finite entry raises ValueError.
     """
     g = instance.graph
     nodes = sorted(g.node_set())
@@ -83,6 +84,8 @@ def decode(instance: Instance, vector: Sequence[float]) -> RouteSolution | Decod
     want = n * n + 3 * n
     if vec.shape != (want,):
         raise ValueError(f"encoding vector must have length {want}, got {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError("encoding vector must be finite")
     x = vec[:n * n]
     y = vec[n * n:n * n + n]
     src_scores = vec[n * n + n:n * n + 2 * n]
@@ -91,16 +94,14 @@ def decode(instance: Instance, vector: Sequence[float]) -> RouteSolution | Decod
     src = _argmax_node(g.first_layer, lambda u: src_scores[pos[u]])
     dest = _argmax_node(g.last_layer, lambda u: dest_scores[pos[u]])
     path = [src]
-    curr = src
-    while curr != dest:
-        nbrs = g.out_neighbors(curr)
+    for _ in g.levels[1:]:
+        nbrs = g.out_neighbors(path[-1])
         if not nbrs:
-            return DecodeFailure(f"dead end at node {curr} before node {dest}")
-        base = pos[curr] * n
-        curr = _argmax_node(nbrs, lambda v: x[base + pos[v]])
-        path.append(curr)
-        if len(path) > n:
-            return DecodeFailure("walk exceeded the node count")
+            break
+        base = pos[path[-1]] * n
+        path.append(_argmax_node(nbrs, lambda v: x[base + pos[v]]))
+    if path[-1] != dest:
+        return DecodeFailure(f"dead end at node {path[-1]} before node {dest}")
     plan = {u: float(min(1.0, max(0.0, y[pos[u]]))) for u in path}
     return RouteSolution(path=tuple(path), charge_plan=plan)
 
@@ -108,13 +109,13 @@ def decode(instance: Instance, vector: Sequence[float]) -> RouteSolution | Decod
 class PopulationFitness:
     """fitness() for a whole population at once, with the same floats.
 
-    Built once per instance and weights from arrays in sorted-id order
-    (adjacency, edge km, source and destination km, and each station's
+    Built once per validated instance and weights from arrays in sorted-id
+    order (adjacency, edge km, source and destination km, and each station's
     detour, wait, power and price). Calling it on a (P, n^2 + 3n) array
     returns the P values fitness() gives row by row: decode()'s argmax
-    walk, one step per layer for all rows together, then the SOC recursion
-    of model._soc_scan and the objectives of model._objectives over path
-    positions, with every float operation in the scalar code's order. A
+    walk, one node per layer for all rows together, then the SOC recursion
+    of model._soc_scan and the objectives of model._objectives over the
+    layers, with every float operation in the scalar code's order. A
     decoded candidate never breaks a structural constraint or c13, so its
     penalty is the sum of its SOC violation magnitudes. A non-finite entry
     raises ValueError.
@@ -134,6 +135,7 @@ class PopulationFitness:
             self.adj[pos[i], pos[j]] = True
             self.edge_km[pos[i], pos[j]] = km
         self.has_out = self.adj.any(axis=1)
+        self.depth = len(g.levels)
         # Ascending positions, so argmax's first maximum is the lowest id.
         self.first = np.array(sorted(pos[u] for u in g.first_layer))
         self.last = np.array(sorted(pos[u] for u in g.last_layer))
@@ -163,57 +165,44 @@ class PopulationFitness:
         src = self.first[np.argmax(pop[:, n * n + n + self.first], axis=1)]
         dest = self.last[np.argmax(pop[:, n * n + 2 * n + self.last], axis=1)]
 
-        # (node, on path) per path position; a walk longer than n nodes or
-        # stuck at a node with no out-edge never reaches dest.
-        steps = [(src, np.ones(len(pop), dtype=bool))]
-        cur = src
-        live = cur != dest
-        for _ in range(n - 1):
-            live = live & self.has_out[cur]
-            if not live.any():
-                break
+        # One (P,) node array per layer. A row decodes when every node it
+        # leaves has an out-edge and the walk ends at dest.
+        path = [src]
+        decoded = np.ones(len(pop), dtype=bool)
+        drive = self.src_km[src] + self.dst_km[dest]
+        for _ in range(self.depth - 1):
+            cur = path[-1]
+            decoded &= self.has_out[cur]
             scores = np.where(self.adj[cur], x[rows, cur], -np.inf)
-            cur = np.where(live, np.argmax(scores, axis=1), cur)
-            steps.append((cur, live))
-            live = live & (cur != dest)
-        decoded = cur == dest
+            path.append(np.argmax(scores, axis=1))
+            drive = drive + self.edge_km[cur, path[-1]]
+        decoded &= path[-1] == dest
 
         p = self.params
         r = self.range_km
         soc = np.full(len(pop), p.initial_soc)
         penalty = np.zeros(len(pop))
-        drive = self.src_km[src] + self.dst_km[dest]
-        stops = []
+        time = drive / p.speed_kmh
+        cost = np.zeros(len(pop))
         prev = None
-        for u, on in steps:
+        for u in path:
             yu = y[rows, u]
             stop = yu > CHARGE_EPS
             detour = np.where(stop, self.detour[u], 0.0)
-            if prev is None:
-                leg = self.src_km[u]
-            else:
-                leg = self.edge_km[prev, u]
-                drive = np.where(on, drive + leg, drive)
+            leg = self.src_km[u] if prev is None else self.edge_km[prev, u]
             arrival = soc - (detour + leg) / r
-            penalty = np.where(on & (arrival < -SOC_TOL), penalty + -arrival, penalty)
-            after = arrival + np.where(stop, yu, 0.0)
-            over = on & (after > 1.0 + SOC_TOL)
-            under = on & (after < -SOC_TOL)
-            penalty = np.where(over, penalty + (after - 1.0), penalty)
-            penalty = np.where(under, penalty + -after, penalty)
-            soc = np.where(on, after, soc)
-            stops.append((on & stop, u, yu))
+            penalty = np.where(arrival < -SOC_TOL, penalty + -arrival, penalty)
+            soc = arrival + np.where(stop, yu, 0.0)
+            penalty = np.where(soc > 1.0 + SOC_TOL, penalty + (soc - 1.0), penalty)
+            penalty = np.where(soc < -SOC_TOL, penalty + -soc, penalty)
+            time = np.where(stop, time + (self.detour[u] / p.speed_kmh + self.wait[u]
+                                          + yu * p.capacity_kwh / self.power[u]), time)
+            cost = np.where(stop, cost + yu * p.capacity_kwh * self.price[u], cost)
             prev = u
         beta = soc - self.dst_km[dest] / r
         penalty = np.where(beta < -SOC_TOL, penalty + -beta, penalty)
         penalty = np.where(beta > 1.0 + SOC_TOL, penalty + (beta - 1.0), penalty)
 
-        time = drive / p.speed_kmh
-        cost = np.zeros(len(pop))
-        for stop, u, yu in stops:
-            time = np.where(stop, time + (self.detour[u] / p.speed_kmh + self.wait[u]
-                                          + yu * p.capacity_kwh / self.power[u]), time)
-            cost = np.where(stop, cost + yu * p.capacity_kwh * self.price[u], cost)
         wt, wc = self.weights
         # Each violation adds more than SOC_TOL, so 0 means feasible.
         value = np.where(penalty > 0.0, PENALTY_BASE + penalty, wt * time + wc * cost)

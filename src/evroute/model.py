@@ -9,6 +9,7 @@ are inert the same way, except that the 0 <= y <= 1 bound still applies.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -312,11 +313,11 @@ def check_feasible(instance: Instance, solution: RouteSolution) -> ConstraintRep
 
 
 def check_weights(weights: tuple[float, float]) -> tuple[float, float]:
-    """The (time, cost) weight pair, or ValueError unless both are
-    nonnegative and not both zero."""
+    """The (time, cost) weight pair, or ValueError unless both are finite
+    and nonnegative and not both zero."""
     wt, wc = weights
-    if wt < 0 or wc < 0 or (wt == 0 and wc == 0):
-        raise ValueError("weights must be nonnegative and not both zero")
+    if not (0 <= wt < math.inf and 0 <= wc < math.inf) or (wt == 0 and wc == 0):
+        raise ValueError("weights must be finite, nonnegative and not both zero")
     return wt, wc
 
 

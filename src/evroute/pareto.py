@@ -71,25 +71,53 @@ def filter_nondominated(points: Iterable[FrontPoint]) -> ParetoFront:
     return ParetoFront(tuple(p for _, _, _, p in final))
 
 
+def point_classes(points: Sequence, against: Sequence) -> tuple[str, ...]:
+    """Per-point dominance class of each point relative to another front.
+
+    'dominated' wins when a point is both dominated by one reference point
+    and dominating another (possible only if the reference set is not an
+    antichain).
+    """
+    classes = []
+    for p in points:
+        if any(dominates(q, p) for q in against):
+            classes.append("dominated")
+        elif any(dominates(p, q) for q in against):
+            classes.append("dominating")
+        else:
+            classes.append("nondominated")
+    return tuple(classes)
+
+
 @dataclass(frozen=True)
 class FrontComparison:
-    a_dominated_by_b: int
-    b_dominated_by_a: int
-    mutual_nondominated: int
+    """The point_classes of each side against the other, and their counts."""
+
+    a_classes: tuple[str, ...]
+    b_classes: tuple[str, ...]
+
+    @property
+    def a_dominated_by_b(self) -> int:
+        return self.a_classes.count("dominated")
+
+    @property
+    def b_dominated_by_a(self) -> int:
+        return self.b_classes.count("dominated")
+
+    @property
+    def mutual_nondominated(self) -> int:
+        return (len(self.a_classes) - self.a_dominated_by_b
+                + len(self.b_classes) - self.b_dominated_by_a)
 
 
 def front_compare(a: Sequence[FrontPoint], b: Sequence[FrontPoint]) -> FrontComparison:
-    """Cross-dominance counts between two point sets.
+    """Cross-dominance classes and counts between two point sets.
 
     a_dominated_by_b counts points of a strictly dominated by some point of
     b (and vice versa); mutual_nondominated counts the remaining points of
     both sets. Swapping the arguments swaps the first two counts.
     """
-    a_dom = sum(1 for p in a if any(dominates(q, p) for q in b))
-    b_dom = sum(1 for q in b if any(dominates(p, q) for p in a))
-    mutual = (len(a) - a_dom) + (len(b) - b_dom)
-    return FrontComparison(a_dominated_by_b=a_dom, b_dominated_by_a=b_dom,
-                           mutual_nondominated=mutual)
+    return FrontComparison(a_classes=point_classes(a, b), b_classes=point_classes(b, a))
 
 
 def _format_solution(sol: RouteSolution | None) -> tuple[str, str]:

@@ -1,17 +1,24 @@
 """End-to-end command-line checks: exit codes, files, manifests, replay."""
+import copy
 import csv
+import functools
 import hashlib
 import json
+import math
+import operator
 import shlex
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evroute.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
-                         EXIT_VALIDATION, OUT_DIR_ENV, REPORT_CSV_COLUMNS,
-                         main, point_classes, read_manifest)
+                         EXIT_VALIDATION, OUT_DIR_ENV, PRESETS,
+                         REPORT_CSV_COLUMNS, main, point_classes, read_manifest)
 from evroute.exact import epsilon_constraint
-from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
-                              generate_instance, load, save, validate)
+from evroute.instance import (Instance, InstanceFormatError, RouteGraph,
+                              Station, VehicleParams, generate_instance, load,
+                              save, validate)
 from evroute.pareto import FrontPoint, read_front_csv, write_front_csv
 
 
@@ -38,6 +45,49 @@ def infeasible_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("instances") / "stranded.json"
     save(inst, path)
     return path
+
+
+# Retyped, out-of-range and non-finite values a fuzzed instance field gets.
+FUZZ_VALUES = ("a", 5, -1, 0, 2.5, None, True, [], {}, [1, 2, 3], {"1": 1},
+               math.nan, math.inf, -math.inf, 1e308)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """The JSON document of a four-layer instance, and a scratch directory."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    save(generate_instance(PRESETS["instance2"], seed=101), workdir / "base.json")
+    return json.loads((workdir / "base.json").read_text()), workdir
+
+
+def _json_paths(node, prefix=()):
+    """Key paths of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _json_set(doc, path, value):
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+
+
+def _add_skip_layer_edge(doc):
+    levels = doc["graph"]["levels"]
+    doc["graph"]["edges"].append([levels[0][0], levels[2][0], 300.0])
+    return doc
+
+
+def _write_doc(doc, workdir):
+    path = workdir / "mutant.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _solve_doc(doc, workdir):
+    return main(["solve", "--instance", str(_write_doc(doc, workdir)),
+                 "--method", "exact-time", "--out", str(workdir / "mutant.csv")])
 
 
 class TestGenerate:
@@ -190,6 +240,49 @@ class TestSolve:
         assert rc == EXIT_VALIDATION
         capsys.readouterr()
 
+    @pytest.mark.parametrize("path,value", [
+        (("graph", "levels", 0, 0), "a"),
+        (("stations", 0), 5),
+        (("graph", "edges", 0), 7),
+        (("params", "speed_v"), "fast"),
+        (("graph", "source_dist"), [300.0]),
+        (("shape",), 3),
+        (("params", "speed_v"), math.nan),
+        (("graph", "edges", 0, 2), math.inf),
+        (("stations", 0, "price"), -math.inf),
+    ])
+    def test_malformed_instance_exits_3(self, capsys, fuzz_dir, path, value):
+        doc = copy.deepcopy(fuzz_dir[0])
+        _json_set(doc, path, value)
+        assert _solve_doc(doc, fuzz_dir[1]) == EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_skip_layer_edge_exits_3(self, capsys, fuzz_dir):
+        doc = _add_skip_layer_edge(copy.deepcopy(fuzz_dir[0]))
+        assert _solve_doc(doc, fuzz_dir[1]) == EXIT_VALIDATION
+        assert "edges must join consecutive layers" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_instance_file(self, fuzz_dir, data):
+        doc, workdir = copy.deepcopy(fuzz_dir[0]), fuzz_dir[1]
+        op = data.draw(st.sampled_from(["delete", "set", "skip-layer edge"]))
+        if op == "skip-layer edge":
+            _add_skip_layer_edge(doc)
+        else:
+            path = data.draw(st.sampled_from(list(_json_paths(doc))))
+            if op == "delete":
+                del functools.reduce(operator.getitem, path[:-1], doc)[path[-1]]
+            else:
+                _json_set(doc, path, data.draw(st.sampled_from(FUZZ_VALUES)))
+        try:
+            load(_write_doc(doc, workdir))
+            loaded = True
+        except InstanceFormatError:
+            loaded = False
+        rc = _solve_doc(doc, workdir)
+        assert rc in ((EXIT_OK, EXIT_INFEASIBLE) if loaded else (EXIT_VALIDATION,))
+
     @pytest.mark.parametrize("extra", [
         ["--method", "eps-front", "--delta", "-1"],
         ["--method", "eps-front", "--delta", "abc"],
@@ -199,6 +292,9 @@ class TestSolve:
         ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "1"],
         ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "0,0"],
         ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "-1,1"],
+        ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "nan,1"],
+        ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "inf,1"],
+        ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "1,nan"],
     ])
     def test_usage_errors(self, outdir, capsys, inst_file, extra):
         assert main(["solve", "--instance", str(inst_file)] + extra) == EXIT_USAGE

@@ -1,6 +1,7 @@
 """Exact solvers: path enumeration, per-path charge optima, epsilon sweep,
 grid oracle. Hand-solvable instances carry the closed-form reference values,
 and the simplex in evroute.lp is the reference for the greedy charge solve."""
+import math
 from bisect import bisect_left
 
 import pytest
@@ -199,9 +200,12 @@ class TestOptimizePath:
             optimize_path(inst, (1, 2, 4), objective="speed")
         with pytest.raises(ValueError, match="weights"):
             optimize_path(inst, (1, 2, 4), objective="weighted")
-        with pytest.raises(ValueError, match="nonnegative"):
-            optimize_path(inst, (1, 2, 4), objective="weighted",
-                          weights=(-1.0, 1.0))
+        for weights in ((-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf), (0.0, 0.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                optimize_path(inst, (1, 2, 4), objective="weighted",
+                              weights=weights)
+        with pytest.raises(ValueError, match="finite"):
+            weighted_optimum(inst, (math.nan, 1.0))
         with pytest.raises(ValueError, match="does not exist"):
             optimize_path(inst, (1, 4), objective="time")
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from evroute.instance import (CHARGER_LEVELS, LEVEL_POWER_KW, Instance,
                               InstanceFormatError, RouteGraph, Station,
                               VehicleParams, generate_graph, generate_instance,
-                              graph_from_matrix, load, save, validate)
+                              load, save, validate)
 
 SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5),
                    st.floats(0.0, 1.0, allow_nan=False))
@@ -184,7 +184,31 @@ class TestValidate:
         g = RouteGraph(levels=((1,), (2,)), edges={(2, 1): 100.0},
                        source_dist={1: 300.0}, dest_dist={2: 300.0})
         inst = dataclasses.replace(small_instance(), graph=g)
-        assert any("strictly later layer" in m for m in validate(inst))
+        assert any("consecutive layers" in m for m in validate(inst))
+        # an edge that skips a layer is rejected too
+        g = RouteGraph(levels=((1,), (2,), (3,)),
+                       edges={(1, 2): 100.0, (2, 3): 100.0, (1, 3): 150.0},
+                       source_dist={1: 300.0}, dest_dist={3: 300.0})
+        st3 = dataclasses.replace(small_instance().stations[2], id=3)
+        inst = dataclasses.replace(small_instance(), graph=g, shape=(3, 1, 1.0),
+                                   stations={**small_instance().stations, 3: st3})
+        assert validate(inst) == ["edge (1, 3) goes from layer 0 to layer 2; "
+                                  "edges must join consecutive layers"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers(self, bad):
+        inst = small_instance()
+        for params in (VehicleParams(speed_kmh=bad), VehicleParams(capacity_kwh=bad),
+                       VehicleParams(km_per_kwh=bad), VehicleParams(initial_soc=bad)):
+            assert validate(dataclasses.replace(inst, params=params)) != []
+        for field in ("power_kw", "price", "wait_h", "detour_km"):
+            st1 = dataclasses.replace(inst.stations[1], **{field: bad})
+            broken = dataclasses.replace(inst, stations={**inst.stations, 1: st1})
+            assert any(field in m for m in validate(broken)), field
+        for graph in (dataclasses.replace(inst.graph, edges={(1, 2): bad}),
+                      dataclasses.replace(inst.graph, source_dist={1: bad}),
+                      dataclasses.replace(inst.graph, dest_dist={2: bad})):
+            assert any("finite" in m for m in validate(dataclasses.replace(inst, graph=graph)))
 
     def test_nonpositive_distance(self):
         g = RouteGraph(levels=((1,), (2,)), edges={(1, 2): 0.0},
@@ -218,27 +242,6 @@ class TestValidate:
         assert any("does not match level" in m for m in msgs)
         # without the map, any positive power is accepted
         assert validate(bad) == []
-
-
-class TestGraphFromMatrix:
-    def test_sentinel_marks_missing_edges(self):
-        dist = np.full((4, 4), 1e5)
-        dist[0, 2] = 250.0
-        dist[1, 3] = 350.0
-        g = graph_from_matrix([[0, 1], [2, 3]], dist,
-                              source_dist=[300.0, 310.0],
-                              dest_dist=[290.0, 1e5])
-        assert g.edges == {(0, 2): 250.0, (1, 3): 350.0}
-        assert set(g.source_dist) == {0, 1}
-        assert set(g.dest_dist) == {2}
-
-    def test_same_layer_entries_ignored(self):
-        dist = np.full((4, 4), 1e5)
-        dist[0, 1] = 100.0  # within layer 0: not an edge
-        dist[0, 2] = 200.0
-        g = graph_from_matrix([[0, 1], [2, 3]], dist, [300.0, 300.0],
-                              [300.0, 300.0])
-        assert g.edges == {(0, 2): 200.0}
 
 
 class TestSaveLoad:

@@ -1,5 +1,6 @@
 """Encoding/decoding, fitness, GA/PSO runs, diversity metrics, history CSV."""
 import csv
+import dataclasses
 import hashlib
 import math
 
@@ -89,7 +90,8 @@ class TestDecode:
         v = vec28(src=(0.9, 0, 0, 0), dest=(0, 0, 0.1, 0.9))
         out = decode(inst, v)
         assert isinstance(out, DecodeFailure)
-        assert "dead end" in out.reason
+        # the walk 1 -> 3 ends at a last-layer node other than dest 4
+        assert out.reason == "dead end at node 3 before node 4"
 
     def test_charge_genes_clamped(self):
         inst = bipartite_instance()
@@ -149,18 +151,31 @@ class TestFitness:
         assert PENALTY_BASE <= infeasible < PENALTY_BASE + 4
 
 
-def skip_layer_instance(initial_soc):
-    """Unsorted ids, edges that skip a layer (so decoded paths have 2 or 3
-    nodes) and a dead end at node 12; validate() accepts it."""
+def unsorted_instance(initial_soc):
+    """Ids out of layer order and a dead end at node 12; validate() accepts it."""
     levels = ((10, 3), (7, 21, 12), (40, 5))
-    edges = {(10, 7): 220.0, (10, 40): 410.0, (3, 21): 180.0, (3, 12): 150.0,
-             (3, 5): 390.0, (7, 40): 260.0, (7, 5): 330.0, (21, 5): 240.0}
+    edges = {(10, 7): 220.0, (10, 21): 410.0, (3, 21): 180.0, (3, 12): 150.0,
+             (7, 40): 260.0, (7, 5): 330.0, (21, 5): 240.0}
     stations = {u: station(u, price=0.1 + 0.01 * u, power=(7.0, 22.0, 50.0)[u % 3],
                            wait=0.1 * (u % 4), detour=float(u % 5))
                 for layer in levels for u in layer}
     graph = RouteGraph(levels, edges, {10: 160.0, 3: 90.0}, {40: 200.0, 5: 310.0})
     return Instance(params=VehicleParams(initial_soc=initial_soc),
                     stations=stations, graph=graph, seed=0, shape=(3, 3, 1.0))
+
+
+def shuffle_ids(inst, seed):
+    """The same instance with its node ids permuted, so that id order and
+    layer order disagree (the lowest id may sit in any layer)."""
+    g = inst.graph
+    nodes = g.node_ids()
+    new = dict(zip(nodes, np.random.default_rng(seed).permutation(len(nodes)).tolist()))
+    graph = RouteGraph(tuple(tuple(new[u] for u in layer) for layer in g.levels),
+                       {(new[i], new[j]): d for (i, j), d in g.edges.items()},
+                       {new[u]: d for u, d in g.source_dist.items()},
+                       {new[u]: d for u, d in g.dest_dist.items()})
+    stations = {new[u]: dataclasses.replace(s, id=new[u]) for u, s in inst.stations.items()}
+    return dataclasses.replace(inst, graph=graph, stations=stations)
 
 
 def reference_fitness(inst, vector, weights):
@@ -179,13 +194,15 @@ CHARGE_EDGES = (0.0, 1.0, CHARGE_EPS, np.nextafter(CHARGE_EPS, 1.0), 5e-10,
 def kernel_cases(draw):
     soc = draw(st.sampled_from([1.0, 0.5, 0.2, 0.0]))
     if draw(st.booleans()):
-        inst = skip_layer_instance(soc)
+        inst = unsorted_instance(soc)
     else:
         shape = (draw(st.integers(1, 6)), draw(st.integers(1, 5)),
                  draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])))
         params = VehicleParams(initial_soc=soc,
                                km_per_kwh=draw(st.sampled_from([2.0, 6.0, 12.0])))
         inst = generate_instance(shape, params, seed=draw(st.integers(0, 10**6)))
+        if draw(st.booleans()):
+            inst = shuffle_ids(inst, draw(st.integers(0, 2**32 - 1)))
     weights = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), None]))
     if weights is None:
         weights = (draw(st.floats(0.0, 10.0)), draw(st.floats(0.01, 10.0)))
@@ -209,9 +226,9 @@ class TestPopulationFitness:
         assert got.tolist() == want
         assert [fitness(inst, row, weights) for row in pop[:5]] == want[:5]
 
-    def test_skip_layer_graph_covers_every_outcome(self):
+    def test_unsorted_graph_covers_every_outcome(self):
         # feasible, SOC-infeasible and undecodable rows all occur
-        inst = skip_layer_instance(0.5)
+        inst = unsorted_instance(0.5)
         assert validate(inst) == []
         failed = PENALTY_BASE + inst.graph.n_nodes
         pop = np.random.default_rng(1).random((200, encoding_dim(inst.graph)))
@@ -226,6 +243,12 @@ class TestPopulationFitness:
             PopulationFitness(inst, (1.0, 1.0))(np.zeros(28))
         with pytest.raises(ValueError, match="finite"):
             fitness(inst, vec28(x=[(2, math.nan)]), (1.0, 1.0))
+        inst = generate_instance(PRESETS["instance1"], seed=108)
+        vec = np.zeros(encoding_dim(inst.graph))
+        n = inst.graph.n_nodes
+        vec[n * n + n:n * n + 2 * n] = math.nan  # source genes
+        with pytest.raises(ValueError, match="finite"):
+            decode(inst, vec)
         with pytest.raises(ValueError, match="weights"):
             PopulationFitness(inst, (0.0, 0.0))
 
