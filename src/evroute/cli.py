@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import shlex
 import sys
@@ -152,7 +153,8 @@ def _parse_weights(text: str) -> tuple[float, float]:
     try:
         return check_weights(weights)
     except ValueError:
-        raise _CliError(EXIT_USAGE, "--weights must be nonnegative and not both zero")
+        raise _CliError(EXIT_USAGE,
+                        "--weights must be finite, nonnegative and not both zero")
 
 
 def _parse_delta(text: str) -> float | None:
@@ -162,7 +164,7 @@ def _parse_delta(text: str) -> float | None:
         value = float(text)
     except ValueError:
         raise _CliError(EXIT_USAGE, f"--delta must be a number or 'auto', got {text!r}")
-    if value <= 0:
+    if not value > 0:
         raise _CliError(EXIT_USAGE, "--delta must be > 0")
     return value
 
@@ -190,8 +192,9 @@ def _cmd_generate(args, argv: list[str]) -> int:
         shape = (args.levels, args.max_per_level, args.p_edge)
         tag = f"{args.levels}x{args.max_per_level}"
     for name in ("speed_kmh", "capacity_kwh", "km_per_kwh", "initial_soc"):
-        if getattr(args, name) <= 0:
-            raise _CliError(EXIT_USAGE, f"--{name.replace('_', '-')} must be > 0")
+        if not 0 < getattr(args, name) < math.inf:
+            raise _CliError(EXIT_USAGE,
+                            f"--{name.replace('_', '-')} must be > 0 and finite")
     if args.initial_soc > 1.0:
         raise _CliError(EXIT_USAGE, "--initial-soc must be <= 1")
 

@@ -7,7 +7,7 @@ weight between time and cost: a walk over the weights at which two stops
 swap price order gives each subset's (time, cost) front, and a capped
 optimum lies on it. Global optima come from enumerating paths and stop
 subsets. The budget-sweep front sampler and the brute-force grid oracle
-both build on that; the simplex in `lp` is the test reference.
+both build on that; HiGHS, through `lp.solve_lp`, is the test reference.
 
 min_time/min_cost and every budget round are lexicographic: they minimize
 the primary objective, then the other objective among primary-optimal
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import model
 from .instance import Instance, RouteGraph
 # Unused here; perfbench's traced run wraps evroute.exact.solve_lp by this name.
-from .lp import OPTIMAL, solve_lp  # noqa: F401
+from .lp import solve_lp  # noqa: F401
 from .model import CHARGE_EPS, Objectives, RouteSolution
 from .pareto import FrontPoint, ParetoFront, filter_nondominated
 
@@ -359,17 +359,15 @@ def _best_plan(instance: Instance, pdatas: list[_PathData], objective: str,
 
 
 def _lex_solve(instance: Instance, pdatas: list[_PathData], primary: str,
-               cost_cap: float | None = None,
-               time_cap: float | None = None) -> PathPlan | None:
-    stage1 = _best_plan(instance, pdatas, primary, cost_cap=cost_cap,
-                        time_cap=time_cap)
+               cost_cap: float | None = None) -> PathPlan | None:
+    stage1 = _best_plan(instance, pdatas, primary, cost_cap=cost_cap)
     if stage1 is None:
         return None
     if primary == "time":
         stage2 = _best_plan(instance, pdatas, "cost", cost_cap=cost_cap,
                             time_cap=stage1.objectives.time_h + LEX_SLACK)
     else:
-        stage2 = _best_plan(instance, pdatas, "time", time_cap=time_cap,
+        stage2 = _best_plan(instance, pdatas, "time",
                             cost_cap=stage1.objectives.cost + LEX_SLACK)
     return stage2 if stage2 is not None else stage1
 
@@ -426,35 +424,27 @@ def _point(plan: PathPlan) -> FrontPoint:
                       payload=plan.solution)
 
 
-def epsilon_constraint(instance: Instance, delta: float | None = None,
-                       minimize: str = "time") -> ParetoFront:
+def epsilon_constraint(instance: Instance, delta: float | None = None) -> ParetoFront:
     """A budget-step sample of the Pareto front, by a budget sweep.
 
-    Solves the primary objective unconstrained, then repeatedly re-solves it
-    under a budget on the other objective, tightening the budget just below
-    the latest solution's value minus delta until the sweep passes the other
-    extreme or goes infeasible. delta=None uses a twentieth of the observed
-    budget-objective range. minimize="cost" runs the converse sweep.
+    Solves for least time unconstrained, then repeatedly re-solves it under
+    a cost budget, tightening the budget just below the latest solution's
+    cost minus delta until the sweep passes the least-cost extreme or goes
+    infeasible. delta=None uses a twentieth of the observed cost range.
     """
-    if minimize not in ("time", "cost"):
-        raise ValueError("minimize must be 'time' or 'cost'")
-    secondary = "cost" if minimize == "time" else "time"
     pdatas = _prepare(instance)
-    top = _lex_solve(instance, pdatas, minimize)
+    top = _lex_solve(instance, pdatas, "time")
     if top is None:
         raise InfeasibleInstanceError(_diagnose(instance, pdatas))
-    bottom = _lex_solve(instance, pdatas, secondary)
+    bottom = _lex_solve(instance, pdatas, "cost")
     points = [_point(top), _point(bottom)]
 
-    def budget_of(plan: PathPlan) -> float:
-        return plan.objectives.cost if secondary == "cost" else plan.objectives.time_h
-
-    hi, lo = budget_of(top), budget_of(bottom)
+    hi, lo = top.objectives.cost, bottom.objectives.cost
     if delta is None:
         if hi - lo <= TIE_TOL:
             return filter_nondominated(points)
         delta = (hi - lo) / 20.0
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be > 0")
 
     eps = hi - delta
@@ -462,14 +452,11 @@ def epsilon_constraint(instance: Instance, delta: float | None = None,
     rounds = 0
     while eps >= lo - TIE_TOL and rounds < max_rounds:
         rounds += 1
-        if secondary == "cost":
-            plan = _lex_solve(instance, pdatas, minimize, cost_cap=eps)
-        else:
-            plan = _lex_solve(instance, pdatas, minimize, time_cap=eps)
+        plan = _lex_solve(instance, pdatas, "time", cost_cap=eps)
         if plan is None:
             break
         points.append(_point(plan))
-        eps = min(eps, budget_of(plan)) - delta
+        eps = min(eps, plan.objectives.cost) - delta
     return filter_nondominated(points)
 
 

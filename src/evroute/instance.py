@@ -204,11 +204,10 @@ def generate_graph(n_levels: int, max_per_level: int, p_edge: float,
 
 def generate_instance(shape: tuple[int, int, float],
                       params: VehicleParams = VehicleParams(),
-                      seed: int = 0,
-                      level_power: dict[str, float] = LEVEL_POWER_KW) -> Instance:
+                      seed: int = 0) -> Instance:
     """Generate a full instance deterministically from (shape, seed).
 
-    Station attributes: level uniform over L1/L2/L3 (power from level_power),
+    Station attributes: level uniform over L1/L2/L3 (power from LEVEL_POWER_KW),
     wait Normal(1.0, 0.1) h clamped at 0, detour Normal(10, 1) km clamped at
     0, price Normal(0.134, 0.02) clamped below at 0.01.
     """
@@ -224,7 +223,7 @@ def generate_instance(shape: tuple[int, int, float],
     stations = {}
     for pos, u in enumerate(nodes):
         lvl = CHARGER_LEVELS[int(level_idx[pos])]
-        stations[u] = Station(id=u, level=lvl, power_kw=float(level_power[lvl]),
+        stations[u] = Station(id=u, level=lvl, power_kw=LEVEL_POWER_KW[lvl],
                               price=float(prices[pos]), wait_h=float(waits[pos]),
                               detour_km=float(detours[pos]))
     return Instance(params=params, stations=stations, graph=graph,
@@ -247,13 +246,11 @@ def _has_route(graph: RouteGraph) -> bool:
     return False
 
 
-def validate(instance: Instance,
-             level_power: dict[str, float] | None = None) -> list[str]:
+def validate(instance: Instance) -> list[str]:
     """Check every structural invariant; returns one message per violation.
 
     Empty list means the instance is well formed and at least one S->D
-    path exists. Passing level_power additionally checks that station power
-    matches its level under that map.
+    path exists.
     """
     errs: list[str] = []
     p = instance.params
@@ -293,10 +290,6 @@ def validate(instance: Instance,
             value = getattr(st, name)
             if not 0 <= value < math.inf:
                 errs.append(f"station {u} {name} must be >= 0 and finite, got {value}")
-        if (level_power is not None and st.level in level_power
-                and st.power_kw != level_power[st.level]):
-            errs.append(f"station {u} power_kw {st.power_kw} does not match "
-                        f"level {st.level} map value {level_power[st.level]}")
 
     for (i, j), d in sorted(g.edges.items()):
         if i not in nodes or j not in nodes:
@@ -409,6 +402,8 @@ def _instance_from_dict(raw: dict) -> Instance:
             wait_h=float(_require(rec, "wait_h", where)),
             detour_km=float(_require(rec, "detour_km", where)),
         )
+        if st.id in stations:
+            raise InstanceFormatError(f"{where} repeats station id {st.id}")
         stations[st.id] = st
 
     gr = _require(raw, "graph", "$")
@@ -419,7 +414,10 @@ def _instance_from_dict(raw: dict) -> Instance:
         if len(item) != 3:
             raise InstanceFormatError(f"graph.edges[{idx}] must be [i, j, d]")
         i, j, d = item
-        edges[(int(i), int(j))] = float(d)
+        key = (int(i), int(j))
+        if key in edges:
+            raise InstanceFormatError(f"graph.edges[{idx}] repeats edge {key}")
+        edges[key] = float(d)
     source_dist = {int(u): float(d)
                    for u, d in _require(gr, "source_dist", "graph").items()}
     dest_dist = {int(u): float(d)

@@ -136,6 +136,8 @@ class TestGenerate:
         ["generate", "--preset", "instance1", "--initial-soc", "1.5"],
         ["generate", "--preset", "instance1", "--speed-kmh", "0"],
         ["generate", "--preset", "nope"],
+        ["generate", "--preset", "instance1", "--seed", "108", "--speed-kmh", "nan"],
+        ["generate", "--preset", "instance1", "--seed", "108", "--km-per-kwh", "inf"],
     ])
     def test_usage_errors(self, outdir, capsys, argv):
         assert main(argv) == EXIT_USAGE
@@ -250,10 +252,16 @@ class TestSolve:
         (("params", "speed_v"), math.nan),
         (("graph", "edges", 0, 2), math.inf),
         (("stations", 0, "price"), -math.inf),
+        # A repeated station id or edge; a callable value maps the document
+        # to the new value at path.
+        pytest.param(("stations",), lambda doc: doc["stations"] + [
+            dict(doc["stations"][0], price=9.0)], id="duplicate-station"),
+        pytest.param(("graph", "edges"), lambda doc: doc["graph"]["edges"] + [
+            doc["graph"]["edges"][0][:2] + [1.0]], id="duplicate-edge"),
     ])
     def test_malformed_instance_exits_3(self, capsys, fuzz_dir, path, value):
         doc = copy.deepcopy(fuzz_dir[0])
-        _json_set(doc, path, value)
+        _json_set(doc, path, value(doc) if callable(value) else value)
         assert _solve_doc(doc, fuzz_dir[1]) == EXIT_VALIDATION
         assert "Traceback" not in capsys.readouterr().err
 
@@ -266,9 +274,13 @@ class TestSolve:
     @given(data=st.data())
     def test_fuzzed_instance_file(self, fuzz_dir, data):
         doc, workdir = copy.deepcopy(fuzz_dir[0]), fuzz_dir[1]
-        op = data.draw(st.sampled_from(["delete", "set", "skip-layer edge"]))
+        op = data.draw(st.sampled_from(["delete", "set", "skip-layer edge",
+                                        "duplicate a record"]))
         if op == "skip-layer edge":
             _add_skip_layer_edge(doc)
+        elif op == "duplicate a record":
+            records = data.draw(st.sampled_from([doc["stations"], doc["graph"]["edges"]]))
+            records.append(copy.deepcopy(data.draw(st.sampled_from(records))))
         else:
             path = data.draw(st.sampled_from(list(_json_paths(doc))))
             if op == "delete":
@@ -295,6 +307,7 @@ class TestSolve:
         ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "nan,1"],
         ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "inf,1"],
         ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "1,nan"],
+        ["--method", "eps-front", "--delta", "nan"],
     ])
     def test_usage_errors(self, outdir, capsys, inst_file, extra):
         assert main(["solve", "--instance", str(inst_file)] + extra) == EXIT_USAGE

@@ -1,6 +1,6 @@
 """Exact solvers: path enumeration, per-path charge optima, epsilon sweep,
 grid oracle. Hand-solvable instances carry the closed-form reference values,
-and the simplex in evroute.lp is the reference for the greedy charge solve."""
+and HiGHS, through evroute.lp, is the reference for the greedy charge solve."""
 import math
 from bisect import bisect_left
 
@@ -213,8 +213,8 @@ class TestOptimizePath:
 def lp_charge_value(pd, z, weights, cost_cap, time_cap):
     """One subset's charge problem as a linear program over the charges,
     with the rows the exact solver built before its greedy closed form.
-    Returns the simplex's value and the most by which its plan breaks a
-    row, or None when the simplex finds the problem infeasible."""
+    Returns HiGHS's value and the most by which its plan breaks a row, or
+    None when HiGHS finds the problem infeasible."""
     k, r, alpha = pd.k, pd.r, pd.alpha
     depl = []
     acc = 0.0
@@ -303,7 +303,7 @@ def charge_problems(draw):
 class TestChargeSolveAgainstLp:
     @settings(max_examples=500, deadline=None)
     @given(charge_problems())
-    def test_greedy_matches_simplex(self, problem):
+    def test_greedy_matches_highs(self, problem):
         if problem is None:
             return
         pd, sub, weights, cost_cap, time_cap = problem
@@ -312,10 +312,10 @@ class TestChargeSolveAgainstLp:
         if (got is None) != (ref is None):
             # Verdicts may differ only at the boundary: where moving the
             # caps by 1e-9 relative flips the closed form's verdict, or
-            # where the simplex, whose phase 1 lets each row fall 1e-7
-            # short, accepts a plan that breaks a row by more than 1e-9
-            # (a battery left a hair below empty to meet a cost cap), which
-            # is then no feasible plan the closed form missed.
+            # where HiGHS, within its feasibility tolerance, accepts a plan
+            # that breaks a row by more than 1e-9 (a battery left a hair
+            # below empty to meet a cost cap), which is then no feasible
+            # plan the closed form missed.
             def nudged(eps):
                 return greedy_charge_value(
                     pd, sub, weights,
@@ -363,13 +363,6 @@ class TestEpsilonConstraint:
         front = epsilon_constraint(inst, delta=1e9)
         assert len(front) == 2
 
-    def test_cost_primary_sweep_agrees_on_extremes(self):
-        inst = preset1(101)
-        a = epsilon_constraint(inst, minimize="time")
-        b = epsilon_constraint(inst, minimize="cost")
-        assert a.points[0].time_h == pytest.approx(b.points[0].time_h, abs=1e-9)
-        assert a.points[-1].cost == pytest.approx(b.points[-1].cost, abs=1e-9)
-
     def test_deterministic(self):
         inst = preset1(108)
         a = [(p.time_h, p.cost) for p in epsilon_constraint(inst)]
@@ -380,8 +373,8 @@ class TestEpsilonConstraint:
         inst = free_ride_line()
         with pytest.raises(ValueError, match="delta"):
             epsilon_constraint(inst, delta=0.0)
-        with pytest.raises(ValueError, match="minimize"):
-            epsilon_constraint(inst, minimize="speed")
+        with pytest.raises(ValueError, match="delta"):
+            epsilon_constraint(inst, delta=math.nan)
 
 
 class TestOracleSandwich:

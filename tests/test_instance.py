@@ -114,7 +114,7 @@ class TestGenerateInstance:
     @given(shape=SHAPES, seed=st.integers(0, 10**6))
     def test_generated_instances_validate(self, shape, seed):
         inst = generate_instance(shape, seed=seed)
-        assert validate(inst, level_power=LEVEL_POWER_KW) == []
+        assert validate(inst) == []
         n_levels, max_per, _ = shape
         g = inst.graph
         assert len(g.levels) == n_levels
@@ -232,17 +232,6 @@ class TestValidate:
         inst = dataclasses.replace(small_instance(), shape=(3, 1, 1.0))
         assert any("3 levels" in m for m in validate(inst))
 
-    def test_level_power_map_check(self):
-        inst = small_instance()
-        assert validate(inst, level_power=LEVEL_POWER_KW) == []
-        bad = dataclasses.replace(
-            inst, stations={**inst.stations, 1: dataclasses.replace(
-                inst.stations[1], power_kw=11.0)})
-        msgs = validate(bad, level_power=LEVEL_POWER_KW)
-        assert any("does not match level" in m for m in msgs)
-        # without the map, any positive power is accepted
-        assert validate(bad) == []
-
 
 class TestSaveLoad:
     def test_roundtrip_exact(self, tmp_path):
@@ -301,4 +290,19 @@ class TestSaveLoad:
         raw["graph"]["edges"][0] = [1, 2]
         path.write_text(json.dumps(raw))
         with pytest.raises(InstanceFormatError, match=r"edges\[0\]"):
+            load(path)
+
+    @pytest.mark.parametrize("field,record,match", [
+        ("stations", {"id": 1, "level": "L3", "power_kw": 50.0, "price": 9.0,
+                      "wait_h": 1.0, "detour_km": 10.0},
+         r"stations\[2\] repeats station id 1"),
+        ("edges", [1, 2, 1.0], r"graph.edges\[1\] repeats edge \(1, 2\)"),
+    ], ids=["station", "edge"])
+    def test_duplicate_record_names_its_index(self, tmp_path, field, record, match):
+        path = tmp_path / "inst.json"
+        save(small_instance(), path)
+        raw = json.loads(path.read_text())
+        (raw["graph"] if field == "edges" else raw)[field].append(record)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(InstanceFormatError, match=match):
             load(path)
