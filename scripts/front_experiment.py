@@ -47,7 +47,7 @@ def main() -> None:
                     choices=sorted(PRESETS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[101, 202, 303])
     ap.add_argument("--delta", type=float, default=None,
-                    help="budget step; default refines until stable")
+                    help="budget step; default is a twentieth of the cost range")
     ap.add_argument("--oracle-grid", type=int, default=0,
                     help="cross-check grid resolution, 0 skips the check")
     ap.add_argument("--out", type=Path, default=Path("runs/fronts"))

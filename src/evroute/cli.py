@@ -324,6 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise _CliError(EXIT_USAGE, "--seed must be >= 0")
         if args.command == "generate":
             return _cmd_generate(args, argv)
         if args.command == "solve":

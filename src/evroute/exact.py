@@ -6,8 +6,9 @@ solves exactly. A cap on the other objective makes it parametric in the
 weight between time and cost: a walk over the weights at which two stops
 swap price order gives each subset's (time, cost) front, and a capped
 optimum lies on it. Global optima come from enumerating paths and stop
-subsets. The budget-sweep front sampler and the brute-force grid oracle
-both build on that; HiGHS, through `lp.solve_lp`, is the test reference.
+subsets, and the budget-sweep front sampler builds on that; HiGHS, through
+`lp.solve_lp`, is the test reference. The brute-force grid oracle instead
+scores every charge vector of a mesh as arrays through model.PlanArrays.
 
 min_time/min_cost and every budget round are lexicographic: they minimize
 the primary objective, then the other objective among primary-optimal
@@ -18,12 +19,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import model
 from .instance import Instance, RouteGraph
 # Unused here; perfbench's traced run wraps evroute.exact.solve_lp by this name.
 from .lp import solve_lp  # noqa: F401
 from .model import CHARGE_EPS, Objectives, RouteSolution
-from .pareto import FrontPoint, ParetoFront, filter_nondominated
+from .pareto import FrontPoint, ParetoFront, filter_nondominated, staircase
 
 DEFAULT_PATH_CAP = 10**6
 DEFAULT_EVAL_CAP = 10**7
@@ -31,6 +34,8 @@ TIE_TOL = 1e-9
 LEX_SLACK = 1e-9
 _CAP_SLACK = 1e-9
 _INF = float("inf")
+# Most mesh rows grid_oracle scores in one array call, which bounds its memory.
+ORACLE_CHUNK = 1 << 16
 
 
 class PathCountError(RuntimeError):
@@ -464,10 +469,18 @@ def grid_oracle(instance: Instance, grid_n: int = 50,
                 eval_cap: int = DEFAULT_EVAL_CAP,
                 path_cap: int = DEFAULT_PATH_CAP) -> ParetoFront:
     """Brute-force reference front: every path, every stop subset, every
-    charge vector on the {0, 1/grid_n, ..., 1} mesh, evaluated through the
-    model and filtered to the nondominated set.
+    charge vector on the {1/grid_n, ..., 1} mesh at the stops, filtered to
+    the nondominated set.
 
-    Raises ResourceCapError when the mesh would exceed eval_cap evaluations.
+    Each (path, subset) mesh is scored by model.PlanArrays in chunks of at
+    most ORACLE_CHUNK rows in itertools.product order. Only the feasible
+    rows that pareto.staircase keeps within their chunk become points, in
+    enumeration order, so the result is filter_nondominated over every
+    feasible candidate in enumeration order, with the floats evaluate()
+    gives.
+
+    Raises ResourceCapError, before any array is built, when the mesh would
+    exceed eval_cap candidates.
     """
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
@@ -477,18 +490,28 @@ def grid_oracle(instance: Instance, grid_n: int = 50,
         raise ResourceCapError(
             f"grid oracle would evaluate about {total} candidates, "
             f"above the cap of {eval_cap}")
-    mesh = [m / grid_n for m in range(1, grid_n + 1)]
-    buf: list[FrontPoint] = []
+    arrays = model.PlanArrays(instance)
+    mesh = np.arange(1, grid_n + 1) / grid_n
+    points: list[FrontPoint] = []
     for path in paths:
         k = len(path)
+        nodes = [arrays.pos[u] for u in path]
         for size in range(k + 1):
+            rows = grid_n ** size
             for z in itertools.combinations(range(k), size):
-                for ys in itertools.product(mesh, repeat=size):
-                    plan = {path[j]: y for j, y in zip(z, ys)}
-                    sol = RouteSolution(path=path, charge_plan=plan)
-                    obj = model.try_evaluate(instance, sol)
-                    if obj is not None:
-                        buf.append(FrontPoint(obj.time_h, obj.cost, sol))
-                if len(buf) > 50000:
-                    buf = list(filter_nondominated(buf))
-    return filter_nondominated(buf)
+                for start in range(0, rows, ORACLE_CHUNK):
+                    idx = np.arange(start, min(start + ORACLE_CHUNK, rows))
+                    digits = np.unravel_index(idx, (grid_n,) * size) if size else ()
+                    charges = [0.0] * k
+                    for j, d in zip(z, digits):
+                        charges[j] = mesh[d]
+                    penalty, time, cost = arrays.soc_objectives(nodes, charges)
+                    ok = np.flatnonzero(np.broadcast_to(penalty == 0.0, idx.shape))
+                    time = np.broadcast_to(time, idx.shape)[ok]
+                    cost = np.broadcast_to(cost, idx.shape)[ok]
+                    for i in np.sort(staircase(time, cost)).tolist():
+                        row = ok[i]
+                        plan = {path[j]: float(mesh[d[row]]) for j, d in zip(z, digits)}
+                        points.append(FrontPoint(float(time[i]), float(cost[i]),
+                                                 RouteSolution(path=path, charge_plan=plan)))
+    return filter_nondominated(points)

@@ -12,10 +12,11 @@ run_ga and run_pso scalarize the two objectives with caller-supplied
 weights and penalize constraint violations, so they search the full
 continuous space while reporting only as-good-or-better feasible plans
 over time. They score a whole population per call with PopulationFitness,
-which decodes every row and runs the SOC recursion and objectives as
-array operations over the population, giving the same floats as decode()
-followed by model.penalized_fitness; fitness() is its one-row case, and
-decode() with the model's checker stays the scalar reference. Both
+which decodes every row as array operations and hands the decoded plans to
+model.PlanArrays, the batched SOC recursion and objectives that the grid
+oracle also uses. It gives the same floats as decode() followed by
+model.penalized_fitness; fitness() is its one-row case, and decode() with
+the model's checker stays the scalar reference. Both
 record a per-epoch history (best fitness, best objectives, population
 diversity, exploration/exploitation split) suitable for convergence
 plots.
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import model
 from .instance import Instance, RouteGraph
-from .model import CHARGE_EPS, Objectives, PENALTY_BASE, RouteSolution, SOC_TOL
+from .model import Objectives, PENALTY_BASE, RouteSolution
 
 # Velocity clamp for PSO, in encoding units.
 VELOCITY_LIMIT = 0.2
@@ -109,47 +110,28 @@ def decode(instance: Instance, vector: Sequence[float]) -> RouteSolution | Decod
 class PopulationFitness:
     """fitness() for a whole population at once, with the same floats.
 
-    Built once per validated instance and weights from arrays in sorted-id
-    order (adjacency, edge km, source and destination km, and each station's
-    detour, wait, power and price). Calling it on a (P, n^2 + 3n) array
-    returns the P values fitness() gives row by row: decode()'s argmax
-    walk, one node per layer for all rows together, then the SOC recursion
-    of model._soc_scan and the objectives of model._objectives over the
-    layers, with every float operation in the scalar code's order. A
-    decoded candidate never breaks a structural constraint or c13, so its
-    penalty is the sum of its SOC violation magnitudes. A non-finite entry
-    raises ValueError.
+    Built once per validated instance and weights on model.PlanArrays.
+    Calling it on a (P, n^2 + 3n) array returns the P values fitness()
+    gives row by row: decode()'s argmax walk, one node per layer for all
+    rows together, then PlanArrays.soc_objectives, the SOC recursion and
+    objectives of the model with every float operation in the scalar code's
+    order. A decoded candidate never breaks a structural constraint or c13,
+    so its penalty is the sum of its SOC violation magnitudes. A non-finite
+    entry raises ValueError.
     """
 
     def __init__(self, instance: Instance,
                  weights: tuple[float, float] = (0.5, 0.5)):
         self.weights = model.check_weights(weights)
+        self.arrays = model.PlanArrays(instance)
         g = instance.graph
-        nodes = g.node_ids()
-        n = len(nodes)
-        pos = {u: i for i, u in enumerate(nodes)}
-        self.n = n
-        self.adj = np.zeros((n, n), dtype=bool)
-        self.edge_km = np.zeros((n, n))
-        for (i, j), km in g.edges.items():
-            self.adj[pos[i], pos[j]] = True
-            self.edge_km[pos[i], pos[j]] = km
-        self.has_out = self.adj.any(axis=1)
+        pos = self.arrays.pos
+        self.n = self.arrays.n
+        self.has_out = self.arrays.adj.any(axis=1)
         self.depth = len(g.levels)
         # Ascending positions, so argmax's first maximum is the lowest id.
         self.first = np.array(sorted(pos[u] for u in g.first_layer))
         self.last = np.array(sorted(pos[u] for u in g.last_layer))
-        self.src_km = np.zeros(n)
-        self.src_km[[pos[u] for u in g.source_dist]] = list(g.source_dist.values())
-        self.dst_km = np.zeros(n)
-        self.dst_km[[pos[u] for u in g.dest_dist]] = list(g.dest_dist.values())
-        st = [instance.stations[u] for u in nodes]
-        self.detour = np.array([s.detour_km for s in st])
-        self.wait = np.array([s.wait_h for s in st])
-        self.power = np.array([s.power_kw for s in st])
-        self.price = np.array([s.price for s in st])
-        self.params = instance.params
-        self.range_km = instance.range_km
 
     def __call__(self, population) -> np.ndarray:
         pop = np.asarray(population, dtype=float)
@@ -167,44 +149,19 @@ class PopulationFitness:
 
         # One (P,) node array per layer. A row decodes when every node it
         # leaves has an out-edge and the walk ends at dest.
+        adj = self.arrays.adj
         path = [src]
         decoded = np.ones(len(pop), dtype=bool)
-        drive = self.src_km[src] + self.dst_km[dest]
         for _ in range(self.depth - 1):
             cur = path[-1]
             decoded &= self.has_out[cur]
-            scores = np.where(self.adj[cur], x[rows, cur], -np.inf)
+            scores = np.where(adj[cur], x[rows, cur], -np.inf)
             path.append(np.argmax(scores, axis=1))
-            drive = drive + self.edge_km[cur, path[-1]]
         decoded &= path[-1] == dest
 
-        p = self.params
-        r = self.range_km
-        soc = np.full(len(pop), p.initial_soc)
-        penalty = np.zeros(len(pop))
-        time = drive / p.speed_kmh
-        cost = np.zeros(len(pop))
-        prev = None
-        for u in path:
-            yu = y[rows, u]
-            stop = yu > CHARGE_EPS
-            detour = np.where(stop, self.detour[u], 0.0)
-            leg = self.src_km[u] if prev is None else self.edge_km[prev, u]
-            arrival = soc - (detour + leg) / r
-            penalty = np.where(arrival < -SOC_TOL, penalty + -arrival, penalty)
-            soc = arrival + np.where(stop, yu, 0.0)
-            penalty = np.where(soc > 1.0 + SOC_TOL, penalty + (soc - 1.0), penalty)
-            penalty = np.where(soc < -SOC_TOL, penalty + -soc, penalty)
-            time = np.where(stop, time + (self.detour[u] / p.speed_kmh + self.wait[u]
-                                          + yu * p.capacity_kwh / self.power[u]), time)
-            cost = np.where(stop, cost + yu * p.capacity_kwh * self.price[u], cost)
-            prev = u
-        beta = soc - self.dst_km[dest] / r
-        penalty = np.where(beta < -SOC_TOL, penalty + -beta, penalty)
-        penalty = np.where(beta > 1.0 + SOC_TOL, penalty + (beta - 1.0), penalty)
-
+        penalty, time, cost = self.arrays.soc_objectives(
+            path, [y[rows, u] for u in path])
         wt, wc = self.weights
-        # Each violation adds more than SOC_TOL, so 0 means feasible.
         value = np.where(penalty > 0.0, PENALTY_BASE + penalty, wt * time + wc * cost)
         return np.where(decoded, value, PENALTY_BASE + n)
 
@@ -301,7 +258,11 @@ def diversity(population) -> float:
     pop = np.asarray(population, dtype=float)
     if pop.ndim != 2 or pop.shape[0] == 0:
         raise ValueError("population must be a nonempty 2-d array")
-    med = np.median(pop, axis=0)
+    # np.median's floats from one sort instead of its partition: the middle
+    # row, or the mean of the two middle rows.
+    mid = len(pop) // 2
+    ranked = np.sort(pop, axis=0)
+    med = ranked[mid] if len(pop) % 2 else np.mean(ranked[mid - 1:mid + 1], axis=0)
     return float(np.mean(np.abs(pop - med)))
 
 

@@ -1,5 +1,7 @@
 """Route evaluation: state-of-charge recursion, trip time and charging cost,
 feasibility checking, and the scalarized fitness used by the metaheuristics.
+PlanArrays runs the same recursion and objectives over a batch of plans as
+array operations, for the GA/PSO population kernel and the grid oracle.
 
 A solution is a station path plus a charge plan. A plan entry y_i is the
 fraction of battery capacity bought at station i; entries at or below
@@ -13,6 +15,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .instance import Instance
 
@@ -217,6 +221,78 @@ def try_evaluate(instance: Instance, solution: RouteSolution) -> Objectives | No
     if not tr.feasible:
         return None
     return _objectives(instance, solution)
+
+
+class PlanArrays:
+    """An instance as arrays in sorted-id order, and the SOC recursion and
+    objectives of many plans at once.
+
+    pos maps each station id to its position. The arrays are adjacency and
+    edge km (n, n), source and destination km (n,), and each station's
+    detour, wait, power and price (n,).
+    """
+
+    def __init__(self, instance: Instance):
+        g = instance.graph
+        nodes = g.node_ids()
+        n = len(nodes)
+        self.n = n
+        self.pos = {u: i for i, u in enumerate(nodes)}
+        self.adj = np.zeros((n, n), dtype=bool)
+        self.edge_km = np.zeros((n, n))
+        for (i, j), km in g.edges.items():
+            self.adj[self.pos[i], self.pos[j]] = True
+            self.edge_km[self.pos[i], self.pos[j]] = km
+        self.src_km = np.zeros(n)
+        self.src_km[[self.pos[u] for u in g.source_dist]] = list(g.source_dist.values())
+        self.dst_km = np.zeros(n)
+        self.dst_km[[self.pos[u] for u in g.dest_dist]] = list(g.dest_dist.values())
+        st = [instance.stations[u] for u in nodes]
+        self.detour = np.array([s.detour_km for s in st])
+        self.wait = np.array([s.wait_h for s in st])
+        self.power = np.array([s.power_kw for s in st])
+        self.price = np.array([s.price for s in st])
+        self.params = instance.params
+        self.range_km = instance.range_km
+
+    def soc_objectives(self, path, charges):
+        """(penalty, time, cost) of plans along structurally valid paths.
+
+        path holds one node position per layer and charges one charge per
+        layer, each an int or float shared by every plan or a (P,) array.
+        The recursion is _soc_scan's and the objectives are _objectives',
+        with every float operation in their order, so a plan's time and cost
+        are the floats evaluate() gives. penalty is the sum of its SOC
+        violation magnitudes in path order; each adds more than SOC_TOL, so
+        0 means feasible. The results broadcast like the inputs.
+        """
+        p = self.params
+        r = self.range_km
+        drive = self.src_km[path[0]] + self.dst_km[path[-1]]
+        for i, j in zip(path, path[1:]):
+            drive = drive + self.edge_km[i, j]
+        soc = p.initial_soc
+        penalty = 0.0
+        time = drive / p.speed_kmh
+        cost = 0.0
+        prev = None
+        for u, y in zip(path, charges):
+            stop = y > CHARGE_EPS
+            detour = np.where(stop, self.detour[u], 0.0)
+            leg = self.src_km[u] if prev is None else self.edge_km[prev, u]
+            arrival = soc - (detour + leg) / r
+            penalty = np.where(arrival < -SOC_TOL, penalty + -arrival, penalty)
+            soc = arrival + np.where(stop, y, 0.0)
+            penalty = np.where(soc > 1.0 + SOC_TOL, penalty + (soc - 1.0), penalty)
+            penalty = np.where(soc < -SOC_TOL, penalty + -soc, penalty)
+            time = np.where(stop, time + (self.detour[u] / p.speed_kmh + self.wait[u]
+                                          + y * p.capacity_kwh / self.power[u]), time)
+            cost = np.where(stop, cost + y * p.capacity_kwh * self.price[u], cost)
+            prev = u
+        beta = soc - self.dst_km[path[-1]] / r
+        penalty = np.where(beta < -SOC_TOL, penalty + -beta, penalty)
+        penalty = np.where(beta > 1.0 + SOC_TOL, penalty + (beta - 1.0), penalty)
+        return penalty, time, cost
 
 
 _SOC_KIND_TO_CONSTRAINT = {

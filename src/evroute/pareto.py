@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from .model import RouteSolution
 
 # Points whose coordinates both match within this absolute tolerance are
@@ -49,19 +51,27 @@ class ParetoFront:
         return iter(self.points)
 
 
+def staircase(times, costs) -> np.ndarray:
+    """Indices of the points that cost less than every point before them in
+    (time, cost, index) order, in that order: the dominance scan of
+    filter_nondominated on finite coordinate arrays."""
+    order = np.lexsort((costs, times))  # stable, so the index breaks ties
+    ranked = costs[order]
+    keep = np.ones(len(ranked), dtype=bool)
+    keep[1:] = ranked[1:] < np.minimum.accumulate(ranked)[:-1]
+    return order[keep]
+
+
 def filter_nondominated(points: Iterable[FrontPoint]) -> ParetoFront:
     """Drop dominated points, collapse near-duplicates (DEDUP_TOL per
     coordinate, keeping the earliest point), sort by time."""
-    decorated = [(p.time_h, p.cost, idx, p) for idx, p in enumerate(points)]
-    decorated.sort(key=lambda t: (t[0], t[1], t[2]))
-    kept: list[tuple[float, float, int, FrontPoint]] = []
-    best_cost = None
-    for t, c, idx, p in decorated:
-        if best_cost is None or c < best_cost:
-            kept.append((t, c, idx, p))
-            best_cost = c
+    points = list(points)
+    kept = staircase(np.array([p.time_h for p in points], dtype=float),
+                     np.array([p.cost for p in points], dtype=float))
     merged: list[tuple[float, float, int, FrontPoint]] = []
-    for t, c, idx, p in kept:
+    for idx in kept.tolist():
+        p = points[idx]
+        t, c = p.time_h, p.cost
         if merged and abs(t - merged[-1][0]) <= DEDUP_TOL and abs(c - merged[-1][1]) <= DEDUP_TOL:
             if idx < merged[-1][2]:
                 merged[-1] = (t, c, idx, p)

@@ -1,10 +1,20 @@
-"""Independent feasibility reference for the fuzz comparison.
+"""Scalar references for the tests.
 
-Deliberately coded against a dense sentinel distance matrix instead of the
-package's adjacency structures, so the two verdicts share no code path.
-Missing edges carry a 100000 km sentinel distance.
+reference_verdict is the independent feasibility reference for the fuzz
+comparison. It is deliberately coded against a dense sentinel distance
+matrix instead of the package's adjacency structures, so the two verdicts
+share no code path. Missing edges carry a 100000 km sentinel distance.
+
+reference_oracle is the grid oracle as one model.try_evaluate call per
+candidate, the reference for exact.grid_oracle's array mesh.
 """
+import itertools
+
 import numpy as np
+
+from evroute import model
+from evroute.exact import enumerate_paths
+from evroute.pareto import FrontPoint, filter_nondominated
 
 SENTINEL_KM = 1e5
 TOL = 1e-6
@@ -115,3 +125,22 @@ def reference_verdict(instance, solution):
         bad.add("c15")
 
     return not bad, bad
+
+
+def reference_oracle(instance, grid_n):
+    """filter_nondominated over every feasible candidate of the grid mesh,
+    in enumeration order: paths, then stop subsets by size and
+    lexicographically, then charge vectors in itertools.product order."""
+    mesh = [m / grid_n for m in range(1, grid_n + 1)]
+    points = []
+    for path in enumerate_paths(instance.graph):
+        k = len(path)
+        for size in range(k + 1):
+            for z in itertools.combinations(range(k), size):
+                for ys in itertools.product(mesh, repeat=size):
+                    plan = {path[j]: y for j, y in zip(z, ys)}
+                    sol = model.RouteSolution(path=path, charge_plan=plan)
+                    obj = model.try_evaluate(instance, sol)
+                    if obj is not None:
+                        points.append(FrontPoint(obj.time_h, obj.cost, sol))
+    return filter_nondominated(points)

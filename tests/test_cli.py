@@ -138,6 +138,7 @@ class TestGenerate:
         ["generate", "--preset", "nope"],
         ["generate", "--preset", "instance1", "--seed", "108", "--speed-kmh", "nan"],
         ["generate", "--preset", "instance1", "--seed", "108", "--km-per-kwh", "inf"],
+        ["generate", "--preset", "instance1", "--seed", "-1"],
     ])
     def test_usage_errors(self, outdir, capsys, argv):
         assert main(argv) == EXIT_USAGE
@@ -308,6 +309,7 @@ class TestSolve:
         ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "inf,1"],
         ["--method", "pso", "--pop", "5", "--epochs", "1", "--weights", "1,nan"],
         ["--method", "eps-front", "--delta", "nan"],
+        ["--method", "ga", "--pop", "5", "--epochs", "1", "--seed", "-1"],
     ])
     def test_usage_errors(self, outdir, capsys, inst_file, extra):
         assert main(["solve", "--instance", str(inst_file)] + extra) == EXIT_USAGE

@@ -3,9 +3,10 @@ grid oracle. Hand-solvable instances carry the closed-form reference values,
 and HiGHS, through evroute.lp, is the reference for the greedy charge solve."""
 import math
 from bisect import bisect_left
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evroute import exact
@@ -18,6 +19,7 @@ from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
 from evroute.lp import OPTIMAL, solve_lp
 from evroute.model import evaluate
 from evroute.pareto import dominates
+from reference_checker import reference_oracle
 
 
 def station(u, price, power, level, wait=1.0, detour=10.0):
@@ -53,6 +55,17 @@ def priced_diamond(price2, power2, level2, price3, power3, level3):
     return Instance(params=VehicleParams(), stations=stations,
                     graph=RouteGraph(levels, edges, {1: 250.0}, {4: 250.0}),
                     seed=0, shape=(3, 2, 1.0))
+
+
+def identical_stops_line():
+    """Three identical stations in a row, so that charge vectors which
+    permute one another give the same time and cost up to rounding."""
+    graph = RouteGraph(((1,), (2,), (3,)), {(1, 2): 300.0, (2, 3): 300.0},
+                       {1: 50.0}, {3: 300.0})
+    return Instance(params=VehicleParams(initial_soc=0.3),
+                    stations={u: station(u, 0.137, 22.0, "L2", wait=0.3, detour=3.0)
+                              for u in (1, 2, 3)},
+                    graph=graph, seed=0, shape=(3, 1, 1.0))
 
 
 def preset1(seed):
@@ -377,6 +390,16 @@ class TestEpsilonConstraint:
             epsilon_constraint(inst, delta=math.nan)
 
 
+@st.composite
+def oracle_cases(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.sampled_from([0.5, 1.0])))
+    params = VehicleParams(initial_soc=draw(st.sampled_from([1.0, 0.5, 0.2])),
+                           km_per_kwh=draw(st.sampled_from([2.0, 3.0, 6.0])))
+    inst = generate_instance(shape, params, seed=draw(st.integers(0, 10**6)))
+    return inst, draw(st.integers(1, 6))
+
+
 class TestOracleSandwich:
     def test_two_sided_bound_on_seeded_instance(self):
         inst = preset1(102)
@@ -413,6 +436,25 @@ class TestOracleSandwich:
         # always overcharges here, so only the pure transit plan survives
         oracle = grid_oracle(free_ride_line(), grid_n=1)
         assert [(p.time_h, p.cost) for p in oracle] == [(11.0, 0.0)]
+
+    @pytest.mark.parametrize("chunk", [exact.ORACLE_CHUNK, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_cases())
+    @example((generate_instance((2, 2, 1.0), VehicleParams(km_per_kwh=3.0), seed=5), 1))
+    @example((identical_stops_line(), 10))
+    @example((priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3"), 10))
+    def test_equals_scalar_reference(self, chunk, case):
+        # points, payloads and order, with chunk 7 crossing chunk boundaries;
+        # the diamond's front has many points, and on the identical stops
+        # near-ties collapse to the earliest candidate
+        inst, grid_n = case
+        with mock.patch.object(exact, "ORACLE_CHUNK", chunk):
+            got = grid_oracle(inst, grid_n=grid_n)
+        assert [repr(p) for p in got] == [repr(p) for p in reference_oracle(inst, grid_n)]
+
+    def test_cap_checked_before_any_array(self):
+        with pytest.raises(ResourceCapError, match="cap"):
+            grid_oracle(preset1(108), grid_n=10**9)
 
     def test_resource_caps(self):
         inst = priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3")

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evroute.cli import PRESETS
+from evroute.exact import enumerate_paths
 from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
                               generate_instance, validate)
 from evroute.metaheuristics import (HISTORY_CSV_COLUMNS, DecodeFailure,
@@ -17,7 +19,8 @@ from evroute.metaheuristics import (HISTORY_CSV_COLUMNS, DecodeFailure,
                                     decode, diversity, diversity_metrics,
                                     encoding_dim, fitness, run_ga, run_pso,
                                     write_history_csv)
-from evroute.model import (CHARGE_EPS, PENALTY_BASE, RouteSolution, evaluate,
+from evroute.model import (CHARGE_EPS, PENALTY_BASE, PlanArrays, RouteSolution,
+                           _objectives, _soc_scan, evaluate,
                            path_structure_error, penalized_fitness,
                            try_evaluate)
 
@@ -253,6 +256,43 @@ class TestPopulationFitness:
             PopulationFitness(inst, (0.0, 0.0))
 
 
+class TestPlanArrays:
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_cases())
+    def test_matches_scalar_model_exactly(self, case):
+        # verdict, time, cost and penalty of fixed paths, bit for bit, with
+        # the path per row as arrays (GA/PSO) and as one int path (oracle)
+        inst, _, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = PlanArrays(inst)
+        paths = enumerate_paths(inst.graph)
+        picks = [paths[i] for i in rng.integers(0, len(paths), size=40)]
+        depth = len(picks[0])
+        charges = rng.random((40, depth)) * 1.2
+        pick = rng.random(charges.shape) < 0.5
+        charges[pick] = rng.choice(CHARGE_EDGES, size=int(pick.sum()))
+        per_row = arrays.soc_objectives(
+            [np.array([arrays.pos[p[l]] for p in picks]) for l in range(depth)],
+            list(charges.T))
+        fixed = charges.copy()
+        fixed[:, 0] = 0.0
+        one_path = arrays.soc_objectives([arrays.pos[u] for u in picks[0]],
+                                         [0.0] + list(fixed.T[1:]))
+        cases = [(picks[i], charges[i], per_row, i) for i in range(40)]
+        cases += [(picks[0], fixed[i], one_path, i) for i in range(40)]
+        for path, row, got, i in cases:
+            penalty, time, cost = (float(np.broadcast_to(a, (40,))[i]) for a in got)
+            plan = dict(zip(path, row.tolist()))
+            _, _, viols = _soc_scan(inst, path, plan)
+            total = 0.0
+            for v in viols:
+                total += v.magnitude
+            assert (penalty == 0.0) == (not viols)
+            assert penalty == total
+            obj = _objectives(inst, RouteSolution(path=path, charge_plan=plan))
+            assert (time, cost) == obj.as_tuple()
+
+
 # sha256 of the history CSV and repr(fitness), pinned from the scalar
 # per-candidate loop that the population kernel replaced.
 GOLDEN_RUNS = [
@@ -311,6 +351,15 @@ class TestDiversity:
         assert explo == 100.0
         assert exploit == 0.0
         assert div == pytest.approx(0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                         st.floats(0.0, 1.0))))
+    def test_median_is_numpys(self, pop):
+        # odd and even population sizes, with tied genes
+        want = float(np.mean(np.abs(pop - np.median(pop, axis=0))))
+        assert diversity(pop) == want
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
