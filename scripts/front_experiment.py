@@ -49,7 +49,10 @@ def main() -> None:
     ap.add_argument("--delta", type=float, default=None,
                     help="budget step; default is a twentieth of the cost range")
     ap.add_argument("--oracle-grid", type=int, default=0,
-                    help="cross-check grid resolution, 0 skips the check")
+                    help="charge-grid resolution of the grid-oracle cross-check, "
+                         "0 skips it; its cap counts all (grid+1)^k plans of a "
+                         "k-station path, but the oracle drops each plan at its "
+                         "first battery-bound violation")
     ap.add_argument("--out", type=Path, default=Path("runs/fronts"))
     args = ap.parse_args()
 

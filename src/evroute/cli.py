@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -67,6 +68,7 @@ def _out_dir() -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evroute",

@@ -8,7 +8,8 @@ swap price order gives each subset's (time, cost) front, and a capped
 optimum lies on it. Global optima come from enumerating paths and stop
 subsets, and the budget-sweep front sampler builds on that; HiGHS, through
 `lp.solve_lp`, is the test reference. The brute-force grid oracle instead
-scores every charge vector of a mesh as arrays through model.PlanArrays.
+grows a mesh's charge vectors layer by layer through model.PlanArrays' SOC
+step, dropping each at its first bound violation, which is never undone.
 
 min_time/min_cost and every budget round are lexicographic: they minimize
 the primary objective, then the other objective among primary-optimal
@@ -34,8 +35,8 @@ TIE_TOL = 1e-9
 LEX_SLACK = 1e-9
 _CAP_SLACK = 1e-9
 _INF = float("inf")
-# Most mesh rows grid_oracle scores in one array call, which bounds its memory.
-ORACLE_CHUNK = 1 << 16
+# Most rows grid_oracle grows in one array call, small enough to stay in cache.
+ORACLE_CHUNK = 1 << 13
 
 
 class PathCountError(RuntimeError):
@@ -472,12 +473,16 @@ def grid_oracle(instance: Instance, grid_n: int = 50,
     charge vector on the {1/grid_n, ..., 1} mesh at the stops, filtered to
     the nondominated set.
 
-    Each (path, subset) mesh is scored by model.PlanArrays in chunks of at
-    most ORACLE_CHUNK rows in itertools.product order. Only the feasible
-    rows that pareto.staircase keeps within their chunk become points, in
-    enumeration order, so the result is filter_nondominated over every
-    feasible candidate in enumeration order, with the floats evaluate()
-    gives.
+    Each (path, subset) mesh grows one layer at a time through
+    model.PlanArrays.step: a stop repeats each surviving row once per mesh
+    value, last digit fastest, so rows stay in itertools.product order. A
+    row whose penalty turns positive is dropped; the penalty never
+    decreases, so it could only end infeasible. Growth is depth-first in
+    blocks of max(1, ORACLE_CHUNK // grid_n) prefixes, so no level holds
+    more than max(ORACLE_CHUNK, grid_n) rows. The feasible rows that pareto.staircase
+    keeps within their block become points in enumeration order, so the
+    result is filter_nondominated over every feasible candidate in
+    enumeration order, with the floats evaluate() gives.
 
     Raises ResourceCapError, before any array is built, when the mesh would
     exceed eval_cap candidates.
@@ -492,26 +497,42 @@ def grid_oracle(instance: Instance, grid_n: int = 50,
             f"above the cap of {eval_cap}")
     arrays = model.PlanArrays(instance)
     mesh = np.arange(1, grid_n + 1) / grid_n
+    block = max(1, ORACLE_CHUNK // grid_n)
+    charge = np.tile(mesh, block)
+    digit = np.tile(np.arange(grid_n), block)
     points: list[FrontPoint] = []
+
+    def walk(path, nodes, z, state, ids, j):
+        # state and ids, each row's index into the subset's mesh, hold the
+        # rows alive after layers 0..j-1.
+        if not len(ids):
+            return
+        if j == len(nodes):
+            penalty, time, cost = arrays.arrive(state, nodes[-1])
+            ok = np.flatnonzero(penalty == 0.0)
+            digits = np.unravel_index(ids[ok], (grid_n,) * len(z)) if z else ()
+            for i in np.sort(staircase(time[ok], cost[ok])).tolist():
+                plan = {path[s]: float(mesh[d[i]]) for s, d in zip(z, digits)}
+                points.append(FrontPoint(float(time[ok[i]]), float(cost[ok[i]]),
+                                         RouteSolution(path=path, charge_plan=plan)))
+            return
+        stop = j in z
+        for start in range(0, len(ids), block) if stop else [0]:
+            part = slice(start, start + block) if stop else slice(None)
+            rows, rstate, y = ids[part], tuple(a[part] for a in state), 0.0
+            if stop:
+                size = grid_n * len(rows)
+                rows = np.repeat(rows * grid_n, grid_n) + digit[:size]
+                rstate = tuple(np.repeat(a, grid_n) for a in rstate)
+                y = charge[:size]
+            rstate = arrays.step(rstate, nodes[j - 1] if j else None, nodes[j], y)
+            alive = rstate[3] == 0.0
+            walk(path, nodes, z, tuple(a[alive] for a in rstate), rows[alive], j + 1)
+
     for path in paths:
-        k = len(path)
         nodes = [arrays.pos[u] for u in path]
-        for size in range(k + 1):
-            rows = grid_n ** size
-            for z in itertools.combinations(range(k), size):
-                for start in range(0, rows, ORACLE_CHUNK):
-                    idx = np.arange(start, min(start + ORACLE_CHUNK, rows))
-                    digits = np.unravel_index(idx, (grid_n,) * size) if size else ()
-                    charges = [0.0] * k
-                    for j, d in zip(z, digits):
-                        charges[j] = mesh[d]
-                    penalty, time, cost = arrays.soc_objectives(nodes, charges)
-                    ok = np.flatnonzero(np.broadcast_to(penalty == 0.0, idx.shape))
-                    time = np.broadcast_to(time, idx.shape)[ok]
-                    cost = np.broadcast_to(cost, idx.shape)[ok]
-                    for i in np.sort(staircase(time, cost)).tolist():
-                        row = ok[i]
-                        plan = {path[j]: float(mesh[d[row]]) for j, d in zip(z, digits)}
-                        points.append(FrontPoint(float(time[i]), float(cost[i]),
-                                                 RouteSolution(path=path, charge_plan=plan)))
+        first = tuple(np.full(1, v) for v in arrays.start(nodes))
+        for size in range(len(path) + 1):
+            for z in itertools.combinations(range(len(path)), size):
+                walk(path, nodes, z, first, np.zeros(1, dtype=np.int64), 0)
     return filter_nondominated(points)

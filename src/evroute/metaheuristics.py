@@ -19,7 +19,7 @@ model.penalized_fitness; fitness() is its one-row case, and decode() with
 the model's checker stays the scalar reference. Both
 record a per-epoch history (best fitness, best objectives, population
 diversity, exploration/exploitation split) suitable for convergence
-plots.
+plots; the best objectives come from the same PopulationFitness call.
 """
 from __future__ import annotations
 
@@ -134,6 +134,10 @@ class PopulationFitness:
         self.last = np.array(sorted(pos[u] for u in g.last_layer))
 
     def __call__(self, population) -> np.ndarray:
+        return self.scores(population)[0]
+
+    def scores(self, population) -> tuple[np.ndarray, np.ndarray]:
+        """Fitness (P,) and (time, cost) (P, 2), NaN off feasible plans."""
         pop = np.asarray(population, dtype=float)
         n = self.n
         want = n * n + 3 * n
@@ -163,7 +167,9 @@ class PopulationFitness:
             path, [y[rows, u] for u in path])
         wt, wc = self.weights
         value = np.where(penalty > 0.0, PENALTY_BASE + penalty, wt * time + wc * cost)
-        return np.where(decoded, value, PENALTY_BASE + n)
+        feasible = (decoded & (penalty == 0.0))[:, None]
+        return (np.where(decoded, value, PENALTY_BASE + n),
+                np.where(feasible, np.column_stack((time, cost)), np.nan))
 
 
 def fitness(instance: Instance, vector: Sequence[float],
@@ -280,26 +286,15 @@ def diversity_metrics(population, div_max: float | None = None
     return div, explo, 100.0 - explo
 
 
-def _decoded_objectives(instance: Instance, vector) -> Objectives | None:
-    decoded = decode(instance, vector)
-    if isinstance(decoded, DecodeFailure):
-        return None
-    return model.try_evaluate(instance, decoded)
-
-
 class _Recorder:
-    def __init__(self, instance: Instance, weights: tuple[float, float]):
-        self.instance = instance
-        self.weights = weights
+    def __init__(self):
         self.rows: list[tuple] = []
         self.div_max = 0.0
 
-    def add(self, epoch: int, best_fit: float, best_vec, population) -> None:
-        obj = _decoded_objectives(self.instance, best_vec)
-        t, c = (obj.time_h, obj.cost) if obj is not None else (math.nan, math.nan)
+    def add(self, epoch: int, best_fit: float, best_obj, population) -> None:
         div, explo, _ = diversity_metrics(population, self.div_max)
         self.div_max = max(self.div_max, div)
-        self.rows.append((epoch, float(best_fit), t, c, div, explo))
+        self.rows.append((epoch, float(best_fit), *map(float, best_obj), div, explo))
 
     def history(self) -> RunHistory:
         cols = tuple(zip(*self.rows))
@@ -334,12 +329,12 @@ def run_ga(instance: Instance, cfg: GAConfig = GAConfig(),
     n = cfg.population
     score = PopulationFitness(instance, weights)
     pop = rng.random((n, dim))
-    fits = score(pop)
+    fits, objs = score.scores(pop)
     order = np.argsort(fits, kind="stable")
-    pop, fits = pop[order], fits[order]
+    pop, fits, objs = pop[order], fits[order], objs[order]
 
-    rec = _Recorder(instance, weights)
-    rec.add(0, fits[0], pop[0], pop)
+    rec = _Recorder()
+    rec.add(0, fits[0], objs[0], pop)
     pairs = n // 2
     for epoch in range(1, cfg.epochs + 1):
         tour = rng.integers(0, n, size=(n, 2))
@@ -359,13 +354,14 @@ def run_ga(instance: Instance, cfg: GAConfig = GAConfig(),
         noise = rng.normal(0.0, MUTATION_SIGMA, size=(n, dim))
         off = np.clip(off + mut * noise, 0.0, 1.0)
 
-        off_fits = score(off)
+        off_fits, off_objs = score.scores(off)
         combined = np.vstack([pop, off])
         all_fits = np.concatenate([fits, off_fits])
         # Stable sort prefers incumbents on exact ties.
         order = np.argsort(all_fits, kind="stable")[:n]
         pop, fits = combined[order], all_fits[order]
-        rec.add(epoch, fits[0], pop[0], pop)
+        objs = np.vstack([objs, off_objs])[order]
+        rec.add(epoch, fits[0], objs[0], pop)
     return _result(instance, pop[0], fits[0], rec)
 
 
@@ -384,15 +380,16 @@ def run_pso(instance: Instance, cfg: PSOConfig = PSOConfig(),
     x = rng.random((n, dim))
     v = np.zeros((n, dim))
     score = PopulationFitness(instance, weights)
-    fits = score(x)
+    fits, pbest_objs = score.scores(x)
     pbest = x.copy()
     pbest_fits = fits.copy()
     g_idx = int(np.argmin(pbest_fits))
     gbest = pbest[g_idx].copy()
     gbest_fit = float(pbest_fits[g_idx])
+    gbest_obj = pbest_objs[g_idx].copy()
 
-    rec = _Recorder(instance, weights)
-    rec.add(0, gbest_fit, gbest, x)
+    rec = _Recorder()
+    rec.add(0, gbest_fit, gbest_obj, x)
     for epoch in range(1, cfg.epochs + 1):
         if cfg.epochs > 1:
             frac = (epoch - 1) / (cfg.epochs - 1)
@@ -404,15 +401,17 @@ def run_pso(instance: Instance, cfg: PSOConfig = PSOConfig(),
         v = np.clip(w * v + cfg.c1 * r1 * (pbest - x) + cfg.c2 * r2 * (gbest - x),
                     -VELOCITY_LIMIT, VELOCITY_LIMIT)
         x = np.clip(x + v, 0.0, 1.0)
-        fits = score(x)
+        fits, objs = score.scores(x)
         improved = fits < pbest_fits
         pbest[improved] = x[improved]
         pbest_fits[improved] = fits[improved]
+        pbest_objs[improved] = objs[improved]
         g_idx = int(np.argmin(pbest_fits))
         if pbest_fits[g_idx] < gbest_fit:
             gbest_fit = float(pbest_fits[g_idx])
             gbest = pbest[g_idx].copy()
-        rec.add(epoch, gbest_fit, gbest, x)
+            gbest_obj = pbest_objs[g_idx].copy()
+        rec.add(epoch, gbest_fit, gbest_obj, x)
     return _result(instance, gbest, gbest_fit, rec)
 
 

@@ -266,30 +266,40 @@ class PlanArrays:
         violation magnitudes in path order; each adds more than SOC_TOL, so
         0 means feasible. The results broadcast like the inputs.
         """
-        p = self.params
-        r = self.range_km
+        state = self.start(path)
+        for prev, u, y in zip([None, *path], path, charges):
+            state = self.step(state, prev, u, y)
+        return self.arrive(state, path[-1])
+
+    def start(self, path):
+        """(soc, time, cost, penalty) before the first layer of path."""
         drive = self.src_km[path[0]] + self.dst_km[path[-1]]
         for i, j in zip(path, path[1:]):
             drive = drive + self.edge_km[i, j]
-        soc = p.initial_soc
-        penalty = 0.0
-        time = drive / p.speed_kmh
-        cost = 0.0
-        prev = None
-        for u, y in zip(path, charges):
-            stop = y > CHARGE_EPS
-            detour = np.where(stop, self.detour[u], 0.0)
-            leg = self.src_km[u] if prev is None else self.edge_km[prev, u]
-            arrival = soc - (detour + leg) / r
-            penalty = np.where(arrival < -SOC_TOL, penalty + -arrival, penalty)
-            soc = arrival + np.where(stop, y, 0.0)
-            penalty = np.where(soc > 1.0 + SOC_TOL, penalty + (soc - 1.0), penalty)
-            penalty = np.where(soc < -SOC_TOL, penalty + -soc, penalty)
-            time = np.where(stop, time + (self.detour[u] / p.speed_kmh + self.wait[u]
-                                          + y * p.capacity_kwh / self.power[u]), time)
-            cost = np.where(stop, cost + y * p.capacity_kwh * self.price[u], cost)
-            prev = u
-        beta = soc - self.dst_km[path[-1]] / r
+        return self.params.initial_soc, drive / self.params.speed_kmh, 0.0, 0.0
+
+    def step(self, state, prev, u, y):
+        """The state after buying y at node u, entered from prev (None at
+        layer 0). The penalty never decreases: once positive, infeasible."""
+        p = self.params
+        soc, time, cost, penalty = state
+        stop = y > CHARGE_EPS
+        detour = np.where(stop, self.detour[u], 0.0)
+        leg = self.src_km[u] if prev is None else self.edge_km[prev, u]
+        arrival = soc - (detour + leg) / self.range_km
+        penalty = np.where(arrival < -SOC_TOL, penalty + -arrival, penalty)
+        soc = arrival + np.where(stop, y, 0.0)
+        penalty = np.where(soc > 1.0 + SOC_TOL, penalty + (soc - 1.0), penalty)
+        penalty = np.where(soc < -SOC_TOL, penalty + -soc, penalty)
+        time = np.where(stop, time + (self.detour[u] / p.speed_kmh + self.wait[u]
+                                      + y * p.capacity_kwh / self.power[u]), time)
+        cost = np.where(stop, cost + y * p.capacity_kwh * self.price[u], cost)
+        return soc, time, cost, penalty
+
+    def arrive(self, state, last):
+        """(penalty, time, cost) once the leg from last into D is driven."""
+        soc, time, cost, penalty = state
+        beta = soc - self.dst_km[last] / self.range_km
         penalty = np.where(beta < -SOC_TOL, penalty + -beta, penalty)
         penalty = np.where(beta > 1.0 + SOC_TOL, penalty + (beta - 1.0), penalty)
         return penalty, time, cost

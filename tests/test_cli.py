@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evroute import cli
 from evroute.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                          EXIT_VALIDATION, OUT_DIR_ENV, PRESETS,
                          REPORT_CSV_COLUMNS, main, point_classes, read_manifest)
@@ -433,3 +434,38 @@ class TestManifests:
         assert main(["generate", "--preset", "instance1", "--seed", "2"]) == EXIT_OK
         assert (tmp_path / "instance-instance1-seed2.json").exists()
         capsys.readouterr()
+
+
+class TestSharedParser:
+    def test_commands_match_fresh_parsers(self, outdir, capsys, tmp_path_factory):
+        # generate, a usage error, then compare through one parser give the
+        # exit codes, output and files of each command with its own parser
+        fronts = tmp_path_factory.mktemp("fronts")
+        a, b = fronts / "a.csv", fronts / "b.csv"
+        write_front_csv([FrontPoint(1.0, 5.0), FrontPoint(2.0, 4.0)], a)
+        write_front_csv([FrontPoint(1.5, 4.5), FrontPoint(0.5, 6.0)], b)
+        commands = [["generate", "--preset", "instance1", "--seed", "3"],
+                    ["generate", "--preset", "nope"],
+                    ["compare", str(a), str(b)]]
+
+        def run(fresh):
+            seen = []
+            for argv in commands:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                rc = main(argv)
+                seen.append((rc, capsys.readouterr()))
+            files = {p.name: p.read_bytes() for p in outdir.iterdir()
+                     if not p.name.endswith(".manifest")}
+            for p in outdir.iterdir():
+                p.unlink()
+            return seen, files
+
+        cli._build_parser.cache_clear()
+        shared = run(fresh=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert [rc for rc, _ in shared[0]] == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert "invalid choice: 'nope'" in shared[0][1][1].err
+        assert sorted(shared[1]) == ["compare-report.csv",
+                                     "instance-instance1-seed3.json"]
+        assert run(fresh=True) == shared

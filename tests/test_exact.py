@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evroute import exact
+from evroute import exact, model
 from evroute.exact import (InfeasibleInstanceError, PathCountError,
                            ResourceCapError, count_paths, enumerate_paths,
                            epsilon_constraint, grid_oracle, min_cost,
@@ -17,7 +17,7 @@ from evroute.exact import (InfeasibleInstanceError, PathCountError,
 from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
                               generate_instance)
 from evroute.lp import OPTIMAL, solve_lp
-from evroute.model import evaluate
+from evroute.model import _soc_scan, evaluate
 from evroute.pareto import dominates
 from reference_checker import reference_oracle
 
@@ -66,6 +66,54 @@ def identical_stops_line():
                     stations={u: station(u, 0.137, 22.0, "L2", wait=0.3, detour=3.0)
                               for u in (1, 2, 3)},
                     graph=graph, seed=0, shape=(3, 1, 1.0))
+
+
+def tight_range_line():
+    """A 200 km range and a short first leg: stopping at station 1 leaves
+    0.85 of the battery, so every charge above 0.15 overcharges there."""
+    graph = RouteGraph(((1,), (2,), (3,)), {(1, 2): 150.0, (2, 3): 150.0},
+                       {1: 20.0}, {3: 100.0})
+    return Instance(params=VehicleParams(km_per_kwh=2.0),
+                    stations={u: station(u, 0.1 * u, 22.0, "L2") for u in (1, 2, 3)},
+                    graph=graph, seed=0, shape=(3, 1, 1.0))
+
+
+def final_leg_line():
+    """Half a battery and a stop that lands on empty: a stop's SOC equals
+    its charge, so no bound but the one at D can break."""
+    graph = RouteGraph(((1,),), {}, {1: 290.0}, {1: 400.0})
+    return Instance(params=VehicleParams(initial_soc=0.5),
+                    stations={1: station(1, 0.134, 50.0, "L3")},
+                    graph=graph, seed=0, shape=(1, 1, 1.0))
+
+
+def dead_branch_diamond():
+    """priced_diamond with the leg 1 -> 3 beyond a full battery, so every
+    row through station 3 dies there, before the last layer."""
+    inst = priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3")
+    edges = dict(inst.graph.edges)
+    edges[(1, 3)] = 700.0
+    graph = RouteGraph(inst.graph.levels, edges, inst.graph.source_dist,
+                       inst.graph.dest_dist)
+    return Instance(params=inst.params, stations=inst.stations, graph=graph,
+                    seed=0, shape=inst.shape)
+
+
+def traced_oracle(inst, grid_n, chunk=None):
+    """grid_oracle's front, and per SOC step its layer's node position, the
+    rows it advanced and the rows left without a violation."""
+    steps = []
+    step = model.PlanArrays.step
+
+    def traced(self, state, prev, u, y):
+        out = step(self, state, prev, u, y)
+        steps.append((u, out[3].size, int((out[3] == 0.0).sum())))
+        return out
+
+    with mock.patch.object(model.PlanArrays, "step", traced), \
+            mock.patch.object(exact, "ORACLE_CHUNK", chunk or exact.ORACLE_CHUNK):
+        front = grid_oracle(inst, grid_n=grid_n)
+    return front, steps
 
 
 def preset1(seed):
@@ -451,6 +499,49 @@ class TestOracleSandwich:
         with mock.patch.object(exact, "ORACLE_CHUNK", chunk):
             got = grid_oracle(inst, grid_n=grid_n)
         assert [repr(p) for p in got] == [repr(p) for p in reference_oracle(inst, grid_n)]
+
+    def test_prefixes_dying_at_the_first_stop(self):
+        inst = tight_range_line()
+        front, steps = traced_oracle(inst, 20)
+        first = model.PlanArrays(inst).pos[1]
+        rows = sum(n for u, n, _ in steps if u == first)
+        alive = sum(a for u, _, a in steps if u == first)
+        assert alive < rows // 4
+        # dropped rows are never advanced again: the full mesh would take
+        # 3 * 21 ** 3 row steps
+        assert sum(n for _, n, _ in steps) < 3 * 21 ** 3 // 10
+        assert len(front) > 1
+        assert [repr(p) for p in front] == [repr(p) for p in reference_oracle(inst, 20)]
+
+    def test_only_the_final_soc_check_fails(self):
+        inst = final_leg_line()
+        front, steps = traced_oracle(inst, 30)
+        assert all(n == a for _, n, a in steps)
+        kinds = set()
+        for y in [0.0] + [m / 30 for m in range(1, 31)]:
+            kinds |= {v.kind for v in _soc_scan(inst, (1,), {1: y})[2]}
+        assert kinds == {"final-soc"}
+        assert [repr(p) for p in front] == [repr(p) for p in reference_oracle(inst, 30)]
+
+    def test_every_row_dies_before_the_last_layer(self):
+        inst = dead_branch_diamond()
+        front, steps = traced_oracle(inst, 10)
+        dead = model.PlanArrays(inst).pos[3]
+        assert [a for u, _, a in steps if u == dead] and \
+            all(a == 0 for u, _, a in steps if u == dead)
+        assert front and all(p.payload.path == (1, 2, 4) for p in front)
+        assert [repr(p) for p in front] == [repr(p) for p in reference_oracle(inst, 10)]
+
+    @pytest.mark.parametrize("make", [
+        identical_stops_line, tight_range_line,
+        lambda: priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3")])
+    def test_one_prefix_per_block(self, make):
+        # a chunk below grid_n leaves one prefix per block, so no step
+        # advances more than grid_n rows
+        inst = make()
+        front, steps = traced_oracle(inst, 10, chunk=3)
+        assert max(n for _, n, _ in steps) == 10
+        assert [repr(p) for p in front] == [repr(p) for p in reference_oracle(inst, 10)]
 
     def test_cap_checked_before_any_array(self):
         with pytest.raises(ResourceCapError, match="cap"):
