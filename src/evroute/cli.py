@@ -32,8 +32,6 @@ from .metaheuristics import GAConfig, PSOConfig, run_ga, run_pso, write_history_
 from .model import check_weights
 from .pareto import (FrontCsvError, FrontPoint, front_compare, read_front_csv,
                      write_front_csv)
-# Re-exported for callers that classify points the way `compare` reports them.
-from .pareto import point_classes  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2

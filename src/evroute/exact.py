@@ -2,18 +2,19 @@
 
 For a fixed path and a fixed set of charging stops, the remaining problem
 (how much to buy where) is the fixed-stop gas-station problem, which a greedy
-solves exactly. A cap on the other objective makes it parametric in the
-weight between time and cost: a walk over the weights at which two stops
-swap price order gives each subset's (time, cost) front, and a capped
-optimum lies on it. Global optima come from enumerating paths and stop
-subsets, and the budget-sweep front sampler builds on that; HiGHS, through
+solves exactly. A cost cap makes it parametric in the weight between time
+and cost: a walk over the weights at which two stops swap price order
+gives each subset's (time, cost) front, and a capped optimum lies on it.
+Global optima come from one scan over every path's stop subsets, and the
+budget-sweep front sampler builds on that; HiGHS, through
 `lp.solve_lp`, is the test reference. The brute-force grid oracle instead
 grows a mesh's charge vectors layer by layer through model.PlanArrays' SOC
 step, dropping each at its first bound violation, which is never undone.
 
-min_time/min_cost and every budget round are lexicographic: they minimize
-the primary objective, then the other objective among primary-optimal
-solutions, so every reported point is genuinely nondominated.
+min_time/min_cost and every budget round are exact lexicographic optima
+with no slack: one scan keeps the best (primary, other objective) pair, so
+the primary is never traded for the other and every reported point is
+genuinely nondominated.
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ from .pareto import FrontPoint, ParetoFront, filter_nondominated, staircase
 DEFAULT_PATH_CAP = 10**6
 DEFAULT_EVAL_CAP = 10**7
 TIE_TOL = 1e-9
-LEX_SLACK = 1e-9
+# (time, cost) weights of the primary and the secondary objective.
+_LEX = {"time": ((1.0, 0.0), (0.0, 1.0)), "cost": ((0.0, 1.0), (1.0, 0.0))}
 _CAP_SLACK = 1e-9
 _INF = float("inf")
 # Most rows grid_oracle grows in one array call, small enough to stay in cache.
@@ -167,7 +169,7 @@ class _PathData:
             lo = [max(0.0, d - alpha) for d in depl_z[1:]] + [need]
             hi = [1.0 - alpha + d for d in depl_z]
             # The least time and the least cost, each by one greedy; with
-            # the caps they decide most capped solves without the front.
+            # the cap they decide most capped solves without the front.
             a = [self.time_coef[j] for j in z]
             b = [self.price_coef[j] for j in z]
             time_lb = t0 + _dot(a, _greedy(lo, hi, list(zip(a, b))))
@@ -225,15 +227,15 @@ def _dot(xs: list[float], ys: list[float]) -> float:
     return sum(x * y for x, y in zip(xs, ys))
 
 
-def _first_within(verts: list, c: int, cap: float) -> tuple | None:
-    """The first point along the polyline verts whose coordinate c is at
-    most cap, interpolated on the segment that crosses the cap."""
+def _first_within(verts: list, cap: float) -> tuple | None:
+    """The first point along the polyline verts whose cost is at most cap,
+    interpolated on the segment that crosses the cap."""
     prev = None
     for v in verts:
-        if v[c] <= cap:
+        if v[1] <= cap:
             if prev is None:
                 return v
-            th = (prev[c] - cap) / (prev[c] - v[c])
+            th = (prev[1] - cap) / (prev[1] - v[1])
             return (prev[0] + th * (v[0] - prev[0]), prev[1] + th * (v[1] - prev[1]),
                     [p + th * (q - p) for p, q in zip(prev[2], v[2])])
         prev = v
@@ -241,32 +243,39 @@ def _first_within(verts: list, c: int, cap: float) -> tuple | None:
 
 
 def _charge_solve(pd: _PathData, sub: tuple, wt: float, wc: float,
-                  cost_cap: float, time_cap: float) -> tuple[float, list[float]] | None:
-    """Least wt * time + wc * cost over the charges of one entry of
-    pd.subsets within the caps, as (value, charges), or None; the entry's
-    lower bounds have already checked the caps of the empty subset.
+                  cost_cap: float) -> tuple[float, float, list[float]] | None:
+    """Least (wt * time + wc * cost, time, cost) over the charges of one
+    entry of pd.subsets with cost at most cost_cap, as (time, cost,
+    charges), or None; the entry's lower bounds have already checked the
+    cap of the empty subset.
 
-    With nonnegative weights a capped optimum is Pareto optimal, so it lies
-    on the subset's front, between the point where the cost cap starts to
-    hold and the point where the time cap stops holding."""
+    With nonnegative weights this optimum is Pareto optimal, so it lies on
+    the subset's front, at or after the point where the cap starts to hold."""
     _, _, z, t0, lo, hi = sub
     if not z:
-        return wt * t0, []
-    if cost_cap == _INF and time_cap == _INF:
-        # Without caps one greedy at the objective's prices is optimal,
+        return t0, 0.0, []
+    if cost_cap == _INF:
+        # Without a cap one greedy at the objective's prices is optimal,
         # with ties broken as the front's ends break them.
         a = [pd.time_coef[j] for j in z]
         b = [pd.price_coef[j] for j in z]
         ys = _greedy(lo, hi, [(wt * x + wc * y, x, y) for x, y in zip(a, b)])
-        return wt * (t0 + _dot(a, ys)) + wc * _dot(b, ys), ys
+        return t0 + _dot(a, ys), _dot(b, ys), ys
     verts = pd.front(z, lo, hi)
-    first = _first_within(verts, 1, cost_cap)
-    if first is None or first[0] > time_cap - t0:
+    first = _first_within(verts, cost_cap)
+    if first is None:
         return None
-    last = _first_within(verts[::-1], 0, time_cap - t0)
-    inner = [v for v in verts if first[0] < v[0] < last[0]]
-    a, b, ys = min([first] + inner + [last], key=lambda v: wt * v[0] + wc * v[1])
-    return wt * (t0 + a) + wc * b, ys
+    a, b, ys = min([first] + [v for v in verts if v[0] > first[0]],
+                   key=lambda v: wt * v[0] + wc * v[1])
+    return t0 + a, b, ys
+
+
+def _better(key: tuple[float, float], best: tuple[float, float]) -> bool:
+    """Whether key beats best lexicographically: its primary is lower by
+    more than TIE_TOL, or ties within TIE_TOL and its secondary is lower by
+    more than TIE_TOL."""
+    return key[0] < best[0] - TIE_TOL or (
+        key[0] <= best[0] + TIE_TOL and key[1] < best[1] - TIE_TOL)
 
 
 @dataclass(frozen=True)
@@ -276,63 +285,57 @@ class PathPlan:
     value: float
 
 
-def _objective_value(obj: Objectives, objective: str,
-                     weights: tuple[float, float] | None) -> float:
-    if objective == "time":
-        return obj.time_h
-    if objective == "cost":
-        return obj.cost
-    wt, wc = weights
-    return wt * obj.time_h + wc * obj.cost
+def _best_plan(instance: Instance, pdatas: list[_PathData], objective: str,
+               weights: tuple[float, float] | None = None,
+               cost_cap: float | None = None) -> PathPlan | None:
+    """The best plan over every stop subset of every path, in one scan.
 
-
-def _optimize_path_data(instance: Instance, pd: _PathData, objective: str,
-                        weights: tuple[float, float] | None = None,
-                        cost_cap: float | None = None,
-                        time_cap: float | None = None,
-                        incumbent: float | None = None) -> PathPlan | None:
+    "time" and "cost" are lexicographic: least primary objective, then
+    least other objective among its ties. "weighted" minimizes
+    weights[0] * time + weights[1] * cost with no secondary, so the first
+    of tied subsets wins. Ties that survive break toward the earlier path,
+    then fewer stops, then the lexicographically smaller subset.
+    """
     if objective == "weighted":
-        if weights is None:
-            raise ValueError("weighted objective needs weights")
-        wt, wc = model.check_weights(weights)
+        (wt, wc), (st, sc) = model.check_weights(weights), (0.0, 0.0)
     else:
-        wt, wc = (1.0, 0.0) if objective == "time" else (0.0, 1.0)
+        (wt, wc), (st, sc) = _LEX[objective]
     ccap = _INF if cost_cap is None else cost_cap
-    tcap = _INF if time_cap is None else time_cap
-    best_value = _INF if incumbent is None else incumbent
-    best: tuple[tuple[int, ...], list[float]] | None = None
-
-    for sub in pd.subsets:
-        time_lb, cost_lb = sub[0], sub[1]
-        if cost_lb > ccap + _CAP_SLACK or time_lb > tcap + _CAP_SLACK:
-            continue
-        if wt * time_lb + wc * cost_lb >= best_value - TIE_TOL:
-            continue
-        solved = _charge_solve(pd, sub, wt, wc, ccap, tcap)
-        if solved is not None and solved[0] < best_value - TIE_TOL:
-            best_value = solved[0]
-            best = (sub[2], solved[1])
+    best_key = (_INF, _INF)
+    best = None
+    for pd in pdatas:
+        for sub in pd.subsets:
+            time_lb, cost_lb = sub[0], sub[1]
+            if cost_lb > ccap + _CAP_SLACK or not _better(
+                    (wt * time_lb + wc * cost_lb, st * time_lb + sc * cost_lb), best_key):
+                continue
+            solved = _charge_solve(pd, sub, wt, wc, ccap)
+            if solved is None:
+                continue
+            t, c, ys = solved
+            key = (wt * t + wc * c, st * t + sc * c)
+            if _better(key, best_key):
+                best_key, best = key, (pd.path, sub[2], ys)
 
     if best is None:
         return None
-    z, ys = best
-    plan = {pd.path[j]: y for j, y in zip(z, ys) if y > CHARGE_EPS}
-    sol = RouteSolution(path=pd.path, charge_plan=plan)
+    path, z, ys = best
+    plan = {path[j]: y for j, y in zip(z, ys) if y > CHARGE_EPS}
+    sol = RouteSolution(path=path, charge_plan=plan)
     obj = model.evaluate(instance, sol)
-    return PathPlan(objectives=obj, solution=sol,
-                    value=_objective_value(obj, objective, weights))
+    return PathPlan(objectives=obj, solution=sol, value=wt * obj.time_h + wc * obj.cost)
 
 
 def optimize_path(instance: Instance, path: tuple[int, ...], objective: str = "time",
                   weights: tuple[float, float] | None = None,
-                  cost_cap: float | None = None,
-                  time_cap: float | None = None) -> PathPlan | None:
+                  cost_cap: float | None = None) -> PathPlan | None:
     """Best charge plan along one fixed path, or None when no subset of
-    stops makes the path feasible under the caps.
+    stops makes the path feasible within the cost cap.
 
-    objective is "time", "cost", or "weighted" (with weights). Ties between
-    stop subsets break toward fewer stops, then the lexicographically
-    smaller subset.
+    objective is "time" or "cost", each an exact lexicographic optimum with
+    no slack (least time, then least cost among its ties, or the reverse),
+    or "weighted" (with weights). Ties between stop subsets break toward
+    fewer stops, then the lexicographically smaller subset.
     """
     if objective not in ("time", "cost", "weighted"):
         raise ValueError("objective must be 'time', 'cost', or 'weighted'")
@@ -341,41 +344,12 @@ def optimize_path(instance: Instance, path: tuple[int, ...], objective: str = "t
     problem = model.path_structure_error(instance, path)
     if problem is not None:
         raise ValueError(problem)
-    return _optimize_path_data(instance, _PathData(instance, path), objective,
-                               weights, cost_cap, time_cap)
+    return _best_plan(instance, [_PathData(instance, path)], objective, weights, cost_cap)
 
 
 def _prepare(instance: Instance, path_cap: int = DEFAULT_PATH_CAP) -> list[_PathData]:
     return [_PathData(instance, p)
             for p in enumerate_paths(instance.graph, cap=path_cap)]
-
-
-def _best_plan(instance: Instance, pdatas: list[_PathData], objective: str,
-               weights: tuple[float, float] | None = None,
-               cost_cap: float | None = None,
-               time_cap: float | None = None) -> PathPlan | None:
-    best: PathPlan | None = None
-    for pd in pdatas:
-        plan = _optimize_path_data(
-            instance, pd, objective, weights, cost_cap, time_cap,
-            incumbent=None if best is None else best.value)
-        if plan is not None and (best is None or plan.value < best.value - TIE_TOL):
-            best = plan
-    return best
-
-
-def _lex_solve(instance: Instance, pdatas: list[_PathData], primary: str,
-               cost_cap: float | None = None) -> PathPlan | None:
-    stage1 = _best_plan(instance, pdatas, primary, cost_cap=cost_cap)
-    if stage1 is None:
-        return None
-    if primary == "time":
-        stage2 = _best_plan(instance, pdatas, "cost", cost_cap=cost_cap,
-                            time_cap=stage1.objectives.time_h + LEX_SLACK)
-    else:
-        stage2 = _best_plan(instance, pdatas, "time",
-                            cost_cap=stage1.objectives.cost + LEX_SLACK)
-    return stage2 if stage2 is not None else stage1
 
 
 def _diagnose(instance: Instance, pdatas: list[_PathData]) -> str:
@@ -398,31 +372,28 @@ def _diagnose(instance: Instance, pdatas: list[_PathData]) -> str:
     return "no feasible charge plan on any path"
 
 
-def min_time(instance: Instance) -> PathPlan:
-    """Global time-optimal plan (cost minimized among its ties)."""
+def _global_optimum(instance: Instance, objective: str,
+                    weights: tuple[float, float] | None = None) -> PathPlan:
     pdatas = _prepare(instance)
-    plan = _lex_solve(instance, pdatas, "time")
+    plan = _best_plan(instance, pdatas, objective, weights)
     if plan is None:
         raise InfeasibleInstanceError(_diagnose(instance, pdatas))
     return plan
+
+
+def min_time(instance: Instance) -> PathPlan:
+    """Global time-optimal plan, with cost minimized among its ties."""
+    return _global_optimum(instance, "time")
 
 
 def min_cost(instance: Instance) -> PathPlan:
-    """Global cost-optimal plan (time minimized among its ties)."""
-    pdatas = _prepare(instance)
-    plan = _lex_solve(instance, pdatas, "cost")
-    if plan is None:
-        raise InfeasibleInstanceError(_diagnose(instance, pdatas))
-    return plan
+    """Global cost-optimal plan, with time minimized among its ties."""
+    return _global_optimum(instance, "cost")
 
 
 def weighted_optimum(instance: Instance, weights: tuple[float, float]) -> PathPlan:
     """Global optimum of weights[0] * time_h + weights[1] * cost."""
-    pdatas = _prepare(instance)
-    plan = _best_plan(instance, pdatas, "weighted", weights=weights)
-    if plan is None:
-        raise InfeasibleInstanceError(_diagnose(instance, pdatas))
-    return plan
+    return _global_optimum(instance, "weighted", weights)
 
 
 def _point(plan: PathPlan) -> FrontPoint:
@@ -439,10 +410,10 @@ def epsilon_constraint(instance: Instance, delta: float | None = None) -> Pareto
     infeasible. delta=None uses a twentieth of the observed cost range.
     """
     pdatas = _prepare(instance)
-    top = _lex_solve(instance, pdatas, "time")
+    top = _best_plan(instance, pdatas, "time")
     if top is None:
         raise InfeasibleInstanceError(_diagnose(instance, pdatas))
-    bottom = _lex_solve(instance, pdatas, "cost")
+    bottom = _best_plan(instance, pdatas, "cost")
     points = [_point(top), _point(bottom)]
 
     hi, lo = top.objectives.cost, bottom.objectives.cost
@@ -453,12 +424,17 @@ def epsilon_constraint(instance: Instance, delta: float | None = None) -> Pareto
     if not delta > 0:
         raise ValueError("delta must be > 0")
 
+    planned = (hi - lo) / delta
+    entries = sum(len(pd.subsets) for pd in pdatas)
+    if planned * entries > DEFAULT_EVAL_CAP:
+        raise ResourceCapError(
+            f"budget sweep would run about {planned:.3g} rounds over {entries} "
+            f"stop subsets, above the cap of {DEFAULT_EVAL_CAP}")
     eps = hi - delta
-    max_rounds = int((hi - lo) / delta) + 10
-    rounds = 0
-    while eps >= lo - TIE_TOL and rounds < max_rounds:
-        rounds += 1
-        plan = _lex_solve(instance, pdatas, "time", cost_cap=eps)
+    for _ in range(int(planned) + 10):
+        if eps < lo - TIE_TOL:
+            break
+        plan = _best_plan(instance, pdatas, "time", cost_cap=eps)
         if plan is None:
             break
         points.append(_point(plan))

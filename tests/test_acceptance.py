@@ -17,13 +17,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from evroute.cli import PRESETS, main, point_classes, read_manifest
+from evroute.cli import PRESETS, main, read_manifest
 from evroute.exact import epsilon_constraint, grid_oracle, min_cost, min_time, weighted_optimum
 from evroute.instance import generate_instance
 from evroute.metaheuristics import GAConfig, PSOConfig, run_ga, run_pso
 from evroute.model import (CHARGE_EPS, PENALTY_BASE, RouteSolution, active_charges,
                            check_feasible, driven_km, soc_trace)
-from evroute.pareto import FrontPoint, dominates, write_front_csv
+from evroute.pareto import FrontPoint, dominates, point_classes, write_front_csv
 
 from reference_checker import reference_verdict
 

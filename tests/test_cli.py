@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from evroute import cli
 from evroute.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                          EXIT_VALIDATION, OUT_DIR_ENV, PRESETS,
-                         REPORT_CSV_COLUMNS, main, point_classes, read_manifest)
+                         REPORT_CSV_COLUMNS, main, read_manifest)
 from evroute.exact import epsilon_constraint
 from evroute.instance import (Instance, InstanceFormatError, RouteGraph,
                               Station, VehicleParams, generate_instance, load,
                               save, validate)
-from evroute.pareto import FrontPoint, read_front_csv, write_front_csv
+from evroute.pareto import (FrontPoint, point_classes, read_front_csv,
+                            write_front_csv)
 
 
 @pytest.fixture()
@@ -229,6 +230,17 @@ class TestSolve:
                    "--grid", "50"])
         assert rc == EXIT_RESOURCE
         assert "resource cap:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["1e-12", "1e-320"])
+    def test_tiny_delta_hits_resource_cap(self, outdir, capsys, delta):
+        main(["generate", "--preset", "instance1", "--seed", "108"])
+        inst_path = outdir / "instance-instance1-seed108.json"
+        rc = main(["solve", "--instance", str(inst_path), "--method", "eps-front",
+                   "--delta", delta])
+        assert rc == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "resource cap: budget sweep" in err
+        assert "Traceback" not in err
 
     def test_validation_errors(self, outdir, capsys, tmp_path):
         rc = main(["solve", "--instance", str(tmp_path / "missing.json"),

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evroute import exact, model
+from evroute.cli import PRESETS
 from evroute.exact import (InfeasibleInstanceError, PathCountError,
                            ResourceCapError, count_paths, enumerate_paths,
                            epsilon_constraint, grid_oracle, min_cost,
@@ -211,6 +212,16 @@ class TestClosedForms:
         assert front.points[0].time_h == pytest.approx(top.objectives.time_h, abs=1e-9)
         assert front.points[-1].cost == pytest.approx(bottom.objectives.cost, abs=1e-9)
 
+    def test_exact_ties_break_on_the_other_objective(self):
+        # Stations 2 and 3 tie exactly in the primary objective, and the
+        # later path, through 3, is better in the other one.
+        for stations, solve in (((0.3, 50.0, "L3", 0.1, 50.0, "L3"), min_time),
+                                ((0.1, 7.0, "L1", 0.1, 50.0, "L3"), min_cost)):
+            plan = solve(priced_diamond(*stations))
+            assert plan.solution.path == (1, 3, 4)
+            assert plan.objectives.time_h == pytest.approx(20.2333333333, abs=1e-6)
+            assert plan.objectives.cost == pytest.approx(5.1666666667, abs=1e-6)
+
     def test_weighted_optimum_closed_form(self):
         inst = priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3")
         plan = weighted_optimum(inst, (1.0, 1.0))
@@ -221,6 +232,15 @@ class TestClosedForms:
             pytest.approx(min_time(inst).objectives.time_h, abs=1e-9)
         assert weighted_optimum(inst, (0.0, 1.0)).value == \
             pytest.approx(min_cost(inst).objectives.cost, abs=1e-9)
+        # and on the presets the lexicographic extremes give up nothing of
+        # their primary objective to the other one
+        for shape in PRESETS.values():
+            for seed in (101, 202, 303):
+                inst = generate_instance(shape, seed=seed)
+                assert min_time(inst).objectives.time_h <= \
+                    weighted_optimum(inst, (1.0, 0.0)).objectives.time_h
+                assert min_cost(inst).objectives.cost <= \
+                    weighted_optimum(inst, (0.0, 1.0)).objectives.cost
 
 
 class TestOptimizePath:
@@ -238,7 +258,7 @@ class TestOptimizePath:
     def test_impossible_budgets_return_none(self):
         inst = priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3")
         assert optimize_path(inst, (1, 3, 4), "time", cost_cap=5.0) is None
-        assert optimize_path(inst, (1, 3, 4), "cost", time_cap=20.0) is None
+        assert optimize_path(inst, (1, 3, 4), "cost", cost_cap=5.0) is None
 
     def test_unconstrained_matches_global_on_single_path(self):
         inst = forced_stop_line()
@@ -271,9 +291,10 @@ class TestOptimizePath:
             optimize_path(inst, (1, 4), objective="time")
 
 
-def lp_charge_value(pd, z, weights, cost_cap, time_cap):
+def lp_charge_value(pd, z, weights, cost_cap, held=None):
     """One subset's charge problem as a linear program over the charges,
-    with the rows the exact solver built before its greedy closed form.
+    with the rows the exact solver built before its greedy closed form;
+    held = (weights, bound) adds the row weights . (time, cost) <= bound.
     Returns HiGHS's value and the most by which its plan breaks a row, or
     None when HiGHS finds the problem infeasible."""
     k, r, alpha = pd.k, pd.r, pd.alpha
@@ -298,9 +319,10 @@ def lp_charge_value(pd, z, weights, cost_cap, time_cap):
     if cost_cap is not None:
         rows.append([pd.price_coef[j] for j in z])
         rhs.append(cost_cap)
-    if time_cap is not None:
-        rows.append([pd.time_coef[j] for j in z])
-        rhs.append(time_cap - t0)
+    if held is not None:
+        (ht, hc), bound = held
+        rows.append([ht * pd.time_coef[j] + hc * pd.price_coef[j] for j in z])
+        rhs.append(bound - ht * t0)
     wt, wc = weights
     coefs = [wt * pd.time_coef[j] + wc * pd.price_coef[j] for j in z]
     status, x, val = solve_lp(coefs, rows, rhs, [1.0] * nv)
@@ -311,19 +333,18 @@ def lp_charge_value(pd, z, weights, cost_cap, time_cap):
     return wt * t0 + val, excess
 
 
-def greedy_charge_value(pd, sub, weights, cost_cap, time_cap):
-    inf = float("inf")
+def greedy_charge_value(pd, sub, weights, cost_cap):
+    """The closed form's (time, cost) for one subset, or None."""
     solved = exact._charge_solve(pd, sub, *weights,
-                                 inf if cost_cap is None else cost_cap,
-                                 inf if time_cap is None else time_cap)
-    return None if solved is None else solved[0]
+                                 float("inf") if cost_cap is None else cost_cap)
+    return None if solved is None else solved[:2]
 
 
 @st.composite
 def charge_problems(draw):
     """A line of 1-5 stations, one stop subset that can make it feasible,
-    an objective, and zero, one or both caps placed around the subset's
-    least time and least cost."""
+    an objective, and no cap or a cost cap placed around the subset's
+    least cost and the cost of its least time."""
     k = draw(st.integers(1, 5))
     alpha = draw(st.floats(0.05, 1.0))
     legs = [draw(st.floats(0.0, 1.0)) * alpha * 600.0]
@@ -351,14 +372,10 @@ def charge_problems(draw):
     _, _, z, t0, lo, hi = sub
     verts = pd.front(z, lo, hi)
     cmin, cmax = verts[-1][1], verts[0][1]
-    tmin, tmax = t0 + verts[0][0], t0 + verts[-1][0]
-    caps = draw(st.sampled_from(["none", "cost", "time", "both"]))
-    cost_cap = time_cap = None
-    if caps in ("cost", "both"):
+    cost_cap = None
+    if draw(st.booleans()):
         cost_cap = cmin + draw(st.floats(-0.25, 1.25)) * (cmax - cmin)
-    if caps in ("time", "both"):
-        time_cap = tmin + draw(st.floats(-0.25, 1.25)) * (tmax - tmin)
-    return pd, sub, weights, cost_cap, time_cap
+    return pd, sub, objective, weights, cost_cap
 
 
 class TestChargeSolveAgainstLp:
@@ -367,12 +384,12 @@ class TestChargeSolveAgainstLp:
     def test_greedy_matches_highs(self, problem):
         if problem is None:
             return
-        pd, sub, weights, cost_cap, time_cap = problem
-        got = greedy_charge_value(pd, sub, weights, cost_cap, time_cap)
-        ref = lp_charge_value(pd, sub[2], weights, cost_cap, time_cap)
+        pd, sub, objective, weights, cost_cap = problem
+        got = greedy_charge_value(pd, sub, weights, cost_cap)
+        ref = lp_charge_value(pd, sub[2], weights, cost_cap)
         if (got is None) != (ref is None):
             # Verdicts may differ only at the boundary: where moving the
-            # caps by 1e-9 relative flips the closed form's verdict, or
+            # cap by 1e-9 relative flips the closed form's verdict, or
             # where HiGHS, within its feasibility tolerance, accepts a plan
             # that breaks a row by more than 1e-9 (a battery left a hair
             # below empty to meet a cost cap), which is then no feasible
@@ -380,12 +397,31 @@ class TestChargeSolveAgainstLp:
             def nudged(eps):
                 return greedy_charge_value(
                     pd, sub, weights,
-                    None if cost_cap is None else cost_cap + eps * (1 + abs(cost_cap)),
-                    None if time_cap is None else time_cap + eps * (1 + abs(time_cap)))
+                    None if cost_cap is None else cost_cap + eps * (1 + abs(cost_cap)))
             assert nudged(-1e-9) is None
             assert nudged(1e-9) is not None or ref[1] > 1e-9
         elif got is not None:
-            assert got == pytest.approx(ref[0], abs=1e-9 * (1 + abs(ref[0])))
+            wt, wc = weights
+            assert wt * got[0] + wc * got[1] == \
+                pytest.approx(ref[0], abs=1e-9 * (1 + abs(ref[0])))
+            if objective != "weighted":
+                # The least other objective with the primary held within s
+                # of its optimum checks that the closed form is the
+                # lexicographic optimum. Moving charge between two stops
+                # trades the objectives at the ratio of their coefficients,
+                # so the slack buys at most s times the steepest ratio r.
+                z = sub[2]
+                p, q = ((pd.time_coef, pd.price_coef) if objective == "time"
+                        else (pd.price_coef, pd.time_coef))
+                r = max([abs(q[i] - q[j]) / abs(p[i] - p[j])
+                         for i in z for j in z if p[i] != p[j]], default=0.0)
+                s = 1e-9 * (1 + abs(ref[0]))
+                second = lp_charge_value(pd, z, (wc, wt), cost_cap,
+                                         held=(weights, ref[0] + s))
+                assert second is not None
+                tol = 1e-9 * (1 + abs(second[0]))
+                assert second[0] - tol <= wc * got[0] + wt * got[1] <= \
+                    second[0] + r * s + tol
 
 
 class TestEpsilonConstraint:
@@ -436,6 +472,12 @@ class TestEpsilonConstraint:
             epsilon_constraint(inst, delta=0.0)
         with pytest.raises(ValueError, match="delta"):
             epsilon_constraint(inst, delta=math.nan)
+        # A delta that would plan more rounds x subsets than the evaluation
+        # cap stops before the sweep, also where the count overflows a float.
+        inst = priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3")
+        for delta in (1e-12, 1e-320):
+            with pytest.raises(ResourceCapError, match="budget sweep"):
+                epsilon_constraint(inst, delta=delta)
 
 
 @st.composite
