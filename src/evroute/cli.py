@@ -247,16 +247,16 @@ def _cmd_solve(args, argv: list[str]) -> int:
                 raise _CliError(EXIT_USAGE, "--epochs must be >= 0")
             overrides["epochs"] = args.epochs
         if args.method == "ga":
-            result = run_ga(inst, GAConfig(**overrides), weights)
-            cfg_desc = GAConfig(**overrides)
+            cfg = GAConfig(**overrides)
+            result = run_ga(inst, cfg, weights)
         else:
-            result = run_pso(inst, PSOConfig(**overrides), weights)
-            cfg_desc = PSOConfig(**overrides)
+            cfg = PSOConfig(**overrides)
+            result = run_pso(inst, cfg, weights)
         history_path = args.history or _out_dir() / f"{stem}-{args.method}-history.csv"
         history_path.parent.mkdir(parents=True, exist_ok=True)
         write_history_csv(result.history, history_path)
-        fields.update(seed=args.seed, population=cfg_desc.population,
-                      epochs=cfg_desc.epochs,
+        fields.update(seed=args.seed, population=cfg.population,
+                      epochs=cfg.epochs,
                       weights=f"{weights[0]},{weights[1]}",
                       history=history_path)
         if not result.feasible:

@@ -8,8 +8,10 @@ gives each subset's (time, cost) front, and a capped optimum lies on it.
 Global optima come from one scan over every path's stop subsets, and the
 budget-sweep front sampler builds on that; HiGHS, through
 `lp.solve_lp`, is the test reference. The brute-force grid oracle instead
-grows a mesh's charge vectors layer by layer through model.PlanArrays' SOC
-step, dropping each at its first bound violation, which is never undone.
+grows one charge mesh per path, station by station, through
+model.PlanArrays' SOC step; a zero charge drives past the station, so the
+mesh also covers every stop subset. Each charge vector is dropped at its
+first bound violation, which is never undone.
 
 min_time/min_cost and every budget round are exact lexicographic optima
 with no slack: one scan keeps the best (primary, other objective) pair, so
@@ -18,7 +20,6 @@ genuinely nondominated.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +118,16 @@ class _PathData:
         self.drive_time = (sum(self.legs) + self.d_dest) / p.speed_kmh
         self.r = p.range_km
         self.alpha = p.initial_soc
-        self.subsets = [] if self.quick_reject() else self._subsets()
+        self.subsets = [] if self.blocked_leg() is not None else self._subsets()
         self.fronts: dict[tuple[int, ...], list] = {}
 
-    def quick_reject(self) -> bool:
-        """Necessary conditions no charging subset can fix."""
-        if self.legs[0] > self.alpha * self.r + _CAP_SLACK * self.r:
-            return True
-        return any(d > self.r + _CAP_SLACK * self.r for d in self.legs[1:] + [self.d_dest])
+    def blocked_leg(self) -> int | None:
+        """Index of the first leg (0 leaves S, k enters D) that a full
+        battery at every station cannot cross, or None. No stop subset can
+        make a path with such a leg feasible."""
+        full = [self.alpha] + [1.0] * self.k
+        return next((j for j, d in enumerate(self.legs + [self.d_dest])
+                     if d > full[j] * self.r + _CAP_SLACK * self.r), None)
 
     def _subsets(self) -> list[tuple]:
         """(time_lb, cost_lb, z, t0, lo, hi) for every stop subset z that
@@ -347,29 +350,22 @@ def optimize_path(instance: Instance, path: tuple[int, ...], objective: str = "t
     return _best_plan(instance, [_PathData(instance, path)], objective, weights, cost_cap)
 
 
-def _prepare(instance: Instance, path_cap: int = DEFAULT_PATH_CAP) -> list[_PathData]:
-    return [_PathData(instance, p)
-            for p in enumerate_paths(instance.graph, cap=path_cap)]
+def _prepare(instance: Instance) -> list[_PathData]:
+    return [_PathData(instance, p) for p in enumerate_paths(instance.graph)]
 
 
-def _diagnose(instance: Instance, pdatas: list[_PathData]) -> str:
+def _diagnose(pdatas: list[_PathData]) -> str:
     if not pdatas:
         return "no S->D path exists in the graph"
     pd = pdatas[0]
-    r = instance.range_km
-    soc = pd.alpha
+    j = pd.blocked_leg()
+    if j is None:
+        return "no feasible charge plan on any path"
     names = ["S"] + [str(u) for u in pd.path] + ["D"]
-    legs = pd.legs + [pd.d_dest]
-    for j, d in enumerate(legs):
-        soc -= d / r
-        if soc < -1e-9:
-            return (f"no feasible charge plan on any path; on path "
-                    f"{'-'.join(str(u) for u in pd.path)} the leg "
-                    f"{names[j]}->{names[j + 1]} ({d:.1f} km) cannot be crossed "
-                    f"even charging to full at every station")
-        if j < pd.k:
-            soc = 1.0
-    return "no feasible charge plan on any path"
+    return (f"no feasible charge plan on any path; on path "
+            f"{'-'.join(str(u) for u in pd.path)} the leg "
+            f"{names[j]}->{names[j + 1]} ({(pd.legs + [pd.d_dest])[j]:.1f} km) "
+            f"cannot be crossed even charging to full at every station")
 
 
 def _global_optimum(instance: Instance, objective: str,
@@ -377,7 +373,7 @@ def _global_optimum(instance: Instance, objective: str,
     pdatas = _prepare(instance)
     plan = _best_plan(instance, pdatas, objective, weights)
     if plan is None:
-        raise InfeasibleInstanceError(_diagnose(instance, pdatas))
+        raise InfeasibleInstanceError(_diagnose(pdatas))
     return plan
 
 
@@ -412,7 +408,7 @@ def epsilon_constraint(instance: Instance, delta: float | None = None) -> Pareto
     pdatas = _prepare(instance)
     top = _best_plan(instance, pdatas, "time")
     if top is None:
-        raise InfeasibleInstanceError(_diagnose(instance, pdatas))
+        raise InfeasibleInstanceError(_diagnose(pdatas))
     bottom = _best_plan(instance, pdatas, "cost")
     points = [_point(top), _point(bottom)]
 
@@ -442,73 +438,68 @@ def epsilon_constraint(instance: Instance, delta: float | None = None) -> Pareto
     return filter_nondominated(points)
 
 
-def grid_oracle(instance: Instance, grid_n: int = 50,
-                eval_cap: int = DEFAULT_EVAL_CAP,
-                path_cap: int = DEFAULT_PATH_CAP) -> ParetoFront:
-    """Brute-force reference front: every path, every stop subset, every
-    charge vector on the {1/grid_n, ..., 1} mesh at the stops, filtered to
-    the nondominated set.
+def grid_oracle(instance: Instance, grid_n: int = 50) -> ParetoFront:
+    """Brute-force reference front: every path, and every charge vector on
+    the {0, 1/grid_n, ..., 1} mesh at its stations, filtered to the
+    nondominated set. A zero charge drives past the station.
 
-    Each (path, subset) mesh grows one layer at a time through
-    model.PlanArrays.step: a stop repeats each surviving row once per mesh
-    value, last digit fastest, so rows stay in itertools.product order. A
-    row whose penalty turns positive is dropped; the penalty never
+    Each path's mesh grows one station at a time through
+    model.PlanArrays.step: every layer repeats each surviving row once per
+    mesh value, last digit fastest, so rows stay in itertools.product
+    order. A row whose penalty turns positive is dropped; the penalty never
     decreases, so it could only end infeasible. Growth is depth-first in
-    blocks of max(1, ORACLE_CHUNK // grid_n) prefixes, so no level holds
-    more than max(ORACLE_CHUNK, grid_n) rows. The feasible rows that pareto.staircase
-    keeps within their block become points in enumeration order, so the
-    result is filter_nondominated over every feasible candidate in
-    enumeration order, with the floats evaluate() gives.
+    blocks of max(1, ORACLE_CHUNK // (grid_n + 1)) prefixes, so no level
+    holds more than max(ORACLE_CHUNK, grid_n + 1) rows. The feasible rows
+    that pareto.staircase keeps within their block become points in
+    enumeration order, so the result is filter_nondominated over every
+    feasible candidate in enumeration order, with the floats evaluate()
+    gives.
 
-    Raises ResourceCapError, before any array is built, when the mesh would
-    exceed eval_cap candidates.
+    Raises ResourceCapError, before any path is listed, when the mesh would
+    exceed DEFAULT_EVAL_CAP candidates.
     """
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
-    paths = enumerate_paths(instance.graph, cap=path_cap)
-    total = sum((grid_n + 1) ** len(p) for p in paths)
-    if total > eval_cap:
+    # Every S->D path visits one station per layer.
+    width = grid_n + 1
+    total = count_paths(instance.graph) * width ** len(instance.graph.levels)
+    if total > DEFAULT_EVAL_CAP:
         raise ResourceCapError(
             f"grid oracle would evaluate about {total} candidates, "
-            f"above the cap of {eval_cap}")
+            f"above the cap of {DEFAULT_EVAL_CAP}")
     arrays = model.PlanArrays(instance)
-    mesh = np.arange(1, grid_n + 1) / grid_n
-    block = max(1, ORACLE_CHUNK // grid_n)
+    mesh = np.arange(width) / grid_n
+    block = max(1, ORACLE_CHUNK // width)
     charge = np.tile(mesh, block)
-    digit = np.tile(np.arange(grid_n), block)
+    digit = np.tile(np.arange(width), block)
     points: list[FrontPoint] = []
 
-    def walk(path, nodes, z, state, ids, j):
-        # state and ids, each row's index into the subset's mesh, hold the
+    def walk(path, nodes, state, ids, j):
+        # state and ids, each row's index into the path's mesh, hold the
         # rows alive after layers 0..j-1.
         if not len(ids):
             return
         if j == len(nodes):
             penalty, time, cost = arrays.arrive(state, nodes[-1])
             ok = np.flatnonzero(penalty == 0.0)
-            digits = np.unravel_index(ids[ok], (grid_n,) * len(z)) if z else ()
+            digits = np.unravel_index(ids[ok], (width,) * len(nodes))
             for i in np.sort(staircase(time[ok], cost[ok])).tolist():
-                plan = {path[s]: float(mesh[d[i]]) for s, d in zip(z, digits)}
+                plan = {u: float(mesh[d[i]]) for u, d in zip(path, digits) if d[i]}
                 points.append(FrontPoint(float(time[ok[i]]), float(cost[ok[i]]),
                                          RouteSolution(path=path, charge_plan=plan)))
             return
-        stop = j in z
-        for start in range(0, len(ids), block) if stop else [0]:
-            part = slice(start, start + block) if stop else slice(None)
-            rows, rstate, y = ids[part], tuple(a[part] for a in state), 0.0
-            if stop:
-                size = grid_n * len(rows)
-                rows = np.repeat(rows * grid_n, grid_n) + digit[:size]
-                rstate = tuple(np.repeat(a, grid_n) for a in rstate)
-                y = charge[:size]
-            rstate = arrays.step(rstate, nodes[j - 1] if j else None, nodes[j], y)
+        for start in range(0, len(ids), block):
+            part = slice(start, start + block)
+            rows = ids[part]
+            size = width * len(rows)
+            rows = np.repeat(rows * width, width) + digit[:size]
+            rstate = tuple(np.repeat(a[part], width) for a in state)
+            rstate = arrays.step(rstate, nodes[j - 1] if j else None, nodes[j], charge[:size])
             alive = rstate[3] == 0.0
-            walk(path, nodes, z, tuple(a[alive] for a in rstate), rows[alive], j + 1)
+            walk(path, nodes, tuple(a[alive] for a in rstate), rows[alive], j + 1)
 
-    for path in paths:
+    for path in enumerate_paths(instance.graph):
         nodes = [arrays.pos[u] for u in path]
         first = tuple(np.full(1, v) for v in arrays.start(nodes))
-        for size in range(len(path) + 1):
-            for z in itertools.combinations(range(len(path)), size):
-                walk(path, nodes, z, first, np.zeros(1, dtype=np.int64), 0)
+        walk(path, nodes, first, np.zeros(1, dtype=np.int64), 0)
     return filter_nondominated(points)

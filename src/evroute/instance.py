@@ -171,17 +171,7 @@ def generate_graph(n_levels: int, max_per_level: int, p_edge: float,
             edges[pair] = float(d)
 
     while n_levels > 1:
-        adj: dict[int, list[int]] = {}
-        for (i, j) in edges:
-            adj.setdefault(i, []).append(j)
-        seen = set(levels[0])
-        stack = list(levels[0])
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
+        seen = _reachable(levels, edges)
         if seen & set(levels[-1]):
             break
         # No reachable node in layer deepest+1, so any bridge extends reach.
@@ -231,19 +221,15 @@ def generate_instance(shape: tuple[int, int, float],
                     shape=(int(n_levels), int(max_per_level), float(p_edge)))
 
 
-def _has_route(graph: RouteGraph) -> bool:
-    last = set(graph.last_layer)
-    stack = list(graph.first_layer)
-    seen = set(stack)
-    while stack:
-        u = stack.pop()
-        if u in last:
-            return True
-        for v in graph.out_neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
+def _reachable(levels, edges) -> set[int]:
+    """Nodes reachable from layer 0. Edges join consecutive layers, so one
+    sweep over the layers, each extending the set by one layer, reaches
+    them all."""
+    seen = set(levels[0])
+    for layer in levels[1:]:
+        members = set(layer)
+        seen |= {j for i, j in edges if i in seen and j in members}
+    return seen
 
 
 def validate(instance: Instance) -> list[str]:
@@ -318,7 +304,7 @@ def validate(instance: Instance) -> list[str]:
     if not (0.0 <= p_edge <= 1.0):
         errs.append(f"shape p_edge must be in [0, 1], got {p_edge}")
 
-    if not errs and not _has_route(g):
+    if not errs and not _reachable(g.levels, g.edges) & set(g.last_layer):
         errs.append("no S->D path exists in the graph")
     return errs
 

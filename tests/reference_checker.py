@@ -129,18 +129,15 @@ def reference_verdict(instance, solution):
 
 def reference_oracle(instance, grid_n):
     """filter_nondominated over every feasible candidate of the grid mesh,
-    in enumeration order: paths, then stop subsets by size and
-    lexicographically, then charge vectors in itertools.product order."""
+    in enumeration order: paths, then charge vectors over {0} and the mesh
+    in itertools.product order, where a zero charge drives past."""
     mesh = [m / grid_n for m in range(1, grid_n + 1)]
     points = []
     for path in enumerate_paths(instance.graph):
-        k = len(path)
-        for size in range(k + 1):
-            for z in itertools.combinations(range(k), size):
-                for ys in itertools.product(mesh, repeat=size):
-                    plan = {path[j]: y for j, y in zip(z, ys)}
-                    sol = model.RouteSolution(path=path, charge_plan=plan)
-                    obj = model.try_evaluate(instance, sol)
-                    if obj is not None:
-                        points.append(FrontPoint(obj.time_h, obj.cost, sol))
+        for ys in itertools.product([0] + mesh, repeat=len(path)):
+            plan = {u: y for u, y in zip(path, ys) if y}
+            sol = model.RouteSolution(path=path, charge_plan=plan)
+            obj = model.try_evaluate(instance, sol)
+            if obj is not None:
+                points.append(FrontPoint(obj.time_h, obj.cost, sol))
     return filter_nondominated(points)

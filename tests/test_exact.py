@@ -578,21 +578,28 @@ class TestOracleSandwich:
         identical_stops_line, tight_range_line,
         lambda: priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3")])
     def test_one_prefix_per_block(self, make):
-        # a chunk below grid_n leaves one prefix per block, so no step
-        # advances more than grid_n rows
+        # a chunk below grid_n + 1 leaves one prefix per block, so no step
+        # advances more than grid_n + 1 rows
         inst = make()
         front, steps = traced_oracle(inst, 10, chunk=3)
-        assert max(n for _, n, _ in steps) == 10
+        assert max(n for _, n, _ in steps) == 11
         assert [repr(p) for p in front] == [repr(p) for p in reference_oracle(inst, 10)]
 
     def test_cap_checked_before_any_array(self):
         with pytest.raises(ResourceCapError, match="cap"):
             grid_oracle(preset1(108), grid_n=10**9)
 
+    def test_cap_checked_before_any_path(self):
+        # the candidate count follows from the path count and the layers
+        with mock.patch.object(exact, "enumerate_paths", side_effect=AssertionError):
+            with pytest.raises(ResourceCapError, match="cap"):
+                grid_oracle(preset1(108), grid_n=10**9)
+
     def test_resource_caps(self):
+        # 2 paths * 201 ** 3 candidates exceed DEFAULT_EVAL_CAP
         inst = priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3")
         with pytest.raises(ResourceCapError, match="cap"):
-            grid_oracle(inst, grid_n=50, eval_cap=10)
+            grid_oracle(inst, grid_n=200)
         with pytest.raises(ValueError, match="grid_n"):
             grid_oracle(inst, grid_n=0)
 
