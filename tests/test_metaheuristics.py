@@ -1,8 +1,10 @@
 """Encoding/decoding, fitness, GA/PSO runs, diversity metrics, history CSV."""
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
                               generate_instance, validate)
 from evroute.metaheuristics import (HISTORY_CSV_COLUMNS, DecodeFailure,
                                     GAConfig, PopulationFitness, PSOConfig,
-                                    decode, diversity, diversity_metrics,
+                                    _ahead, decode, diversity, diversity_metrics,
                                     encoding_dim, fitness, run_ga, run_pso,
                                     write_history_csv)
 from evroute.model import (CHARGE_EPS, PENALTY_BASE, PlanArrays, RouteSolution,
@@ -311,17 +313,99 @@ GOLDEN_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("preset,seed,method,digest,best", GOLDEN_RUNS)
-def test_golden_history(tmp_path, preset, seed, method, digest, best):
+def check_golden(tmp_path, preset, seed, method, population, epochs, digest, best):
     inst = generate_instance(PRESETS[preset], seed=seed)
-    if method == "ga":
-        res = run_ga(inst, GAConfig(population=30, epochs=40, seed=100), (1.0, 1.0))
-    else:
-        res = run_pso(inst, PSOConfig(population=30, epochs=40, seed=100), (1.0, 1.0))
+    run, config = (run_ga, GAConfig) if method == "ga" else (run_pso, PSOConfig)
+    res = run(inst, config(population=population, epochs=epochs, seed=100), (1.0, 1.0))
     dest = tmp_path / "history.csv"
     write_history_csv(res.history, dest)
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
     assert repr(res.fitness) == best
+
+
+@pytest.mark.parametrize("preset,seed,method,digest,best", GOLDEN_RUNS)
+def test_golden_history(tmp_path, preset, seed, method, digest, best):
+    check_golden(tmp_path, preset, seed, method, 30, 40, digest, best)
+
+
+# The same form on instance1/108 at the edges of the epoch loop: no epoch,
+# one epoch, one individual (no crossover pair) and three (an unpaired last
+# row). Pinned from the serial loops that drew every epoch on the caller's
+# thread.
+EDGE_RUNS = [
+    ("ga", 30, 0, "5f2c88ec16e74e0173545d9a5a312d51fd4f21cabfcc82398b645dae7c1d6a6c",
+     "36.0465940733269"),
+    ("ga", 30, 1, "6b6b4d3f791ac098672759fcb0c06571a47b737af83c0b85a7ba13ffe5a0b4f1",
+     "33.53440826471457"),
+    ("ga", 1, 10, "b5e830c2ba6342c2431c1e29c0c4f0e0e85d84a790d5866319d5ebd0115bcb31",
+     "40.664083900162105"),
+    ("ga", 3, 10, "23a07d9e1d62760d20c5cfa1495d2f7c45d474b333052c63439cb7bbd4b27182",
+     "34.59519090196922"),
+    ("pso", 30, 0, "5f2c88ec16e74e0173545d9a5a312d51fd4f21cabfcc82398b645dae7c1d6a6c",
+     "36.0465940733269"),
+    ("pso", 30, 1, "7b4866655f2a6e4d2fc3d612e72bfd687b8fb37a8db22d2360fe9bff7adc4793",
+     "34.37641307138817"),
+    ("pso", 1, 10, "12947bf4eacccd46c61c9eac9cabaac8e10118d39698834e06dd2eaba95b3cfd",
+     "1000000000.0578461"),
+    ("pso", 3, 10, "67bfb232219c85cd633d4b4dd3e200765c13eb80b89a092ff662c4f1583730d8",
+     "44.52047606866462"),
+]
+
+
+@pytest.mark.parametrize("method,population,epochs,digest,best", EDGE_RUNS)
+def test_edge_history(tmp_path, method, population, epochs, digest, best):
+    check_golden(tmp_path, "instance1", 108, method, population, epochs, digest, best)
+
+
+class TestDrawThread:
+    """The worker thread that makes GA/PSO draws one epoch ahead."""
+
+    @pytest.mark.parametrize("run,config", [(run_ga, GAConfig), (run_pso, PSOConfig)])
+    def test_no_thread_outlives_a_run(self, monkeypatch, run, config):
+        inst = generate_instance((2, 8, 0.6), seed=102)
+        before = threading.active_count()
+        run(inst, config(population=8, epochs=5, seed=0), (1.0, 1.0))
+        assert threading.active_count() == before
+
+        err = RuntimeError("scores failed")
+        calls = []
+        real = PopulationFitness.scores
+
+        def failing(self, population):
+            calls.append(1)
+            if len(calls) == 3:
+                raise err
+            return real(self, population)
+
+        monkeypatch.setattr(PopulationFitness, "scores", failing)
+        with pytest.raises(RuntimeError) as info:
+            run(inst, config(population=8, epochs=5, seed=0), (1.0, 1.0))
+        assert info.value is err
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_draw_error_raises_at_its_item(self):
+        err = ValueError("draw 3")
+        made = []
+
+        def draw():
+            made.append(len(made) + 1)
+            if len(made) == 3:
+                raise err
+            return len(made)
+
+        before = threading.active_count()
+        taken = []
+        with pytest.raises(ValueError) as info:
+            with contextlib.closing(_ahead(draw, 6)) as items:
+                for item in items:
+                    # The worker is at most one item ahead of the caller.
+                    assert len(made) <= item + 1
+                    taken.append(item)
+        assert info.value is err
+        assert taken == [1, 2]
+        assert made == [1, 2, 3]
+        assert threading.active_count() == before
 
 
 class TestDiversity:
