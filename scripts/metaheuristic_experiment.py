@@ -19,7 +19,7 @@ from pathlib import Path
 from evroute.cli import PRESETS
 from evroute.exact import weighted_optimum
 from evroute.instance import generate_instance
-from evroute.metaheuristics import GAConfig, PSOConfig, run_ga, run_pso, write_history_csv
+from evroute.metaheuristics import SearchConfig, run_ga, run_pso, write_history_csv
 
 
 def main() -> None:
@@ -45,9 +45,8 @@ def main() -> None:
           f"{inst.graph.n_nodes} stations, exact weighted optimum {wopt:.6f}")
     print(f"{'method':6} {'seed':>5} {'fitness':>12} {'gap %':>8} {'secs':>7}  feasible")
     for seed in args.seeds:
-        for method, runner, cfg in (
-                ("ga", run_ga, GAConfig(population=args.pop, epochs=args.epochs, seed=seed)),
-                ("pso", run_pso, PSOConfig(population=args.pop, epochs=args.epochs, seed=seed))):
+        cfg = SearchConfig(population=args.pop, epochs=args.epochs, seed=seed)
+        for method, runner in (("ga", run_ga), ("pso", run_pso)):
             t0 = time.perf_counter()
             result = runner(inst, cfg, weights)
             secs = time.perf_counter() - t0

@@ -10,11 +10,11 @@ continuous encoding, and `cli` the command-line workflows.
 from .exact import (InfeasibleInstanceError, PathCountError, PathPlan,
                     ResourceCapError, count_paths, enumerate_paths,
                     epsilon_constraint, grid_oracle, min_cost, min_time,
-                    optimize_path, weighted_optimum)
+                    weighted_optimum)
 from .instance import (Instance, InstanceFormatError, RouteGraph, Station,
                        VehicleParams, generate_graph, generate_instance, load,
                        save, validate)
-from .metaheuristics import (DecodeFailure, GAConfig, PSOConfig, RunHistory,
+from .metaheuristics import (DecodeFailure, RunHistory, SearchConfig,
                              SearchResult, decode, diversity,
                              diversity_metrics, encoding_dim, fitness, run_ga,
                              run_pso, write_history_csv)

@@ -28,7 +28,7 @@ from pathlib import Path
 from . import exact
 from .exact import InfeasibleInstanceError, PathCountError, ResourceCapError
 from .instance import InstanceFormatError, VehicleParams, generate_instance, load, save
-from .metaheuristics import GAConfig, PSOConfig, run_ga, run_pso, write_history_csv
+from .metaheuristics import SearchConfig, run_ga, run_pso, write_history_csv
 from .model import check_weights
 from .pareto import (FrontCsvError, FrontPoint, front_compare, read_front_csv,
                      write_front_csv)
@@ -219,11 +219,8 @@ def _cmd_solve(args, argv: list[str]) -> int:
     fields: dict = {"instance": args.instance, "method": args.method}
     history_path: Path | None = None
 
-    if args.method == "exact-time":
-        plan = exact.min_time(inst)
-        points = [FrontPoint(plan.objectives.time_h, plan.objectives.cost, plan.solution)]
-    elif args.method == "exact-cost":
-        plan = exact.min_cost(inst)
+    if args.method in ("exact-time", "exact-cost"):
+        plan = (exact.min_time if args.method == "exact-time" else exact.min_cost)(inst)
         points = [FrontPoint(plan.objectives.time_h, plan.objectives.cost, plan.solution)]
     elif args.method == "eps-front":
         front = exact.epsilon_constraint(inst, delta=_parse_delta(args.delta))
@@ -232,8 +229,11 @@ def _cmd_solve(args, argv: list[str]) -> int:
     elif args.method == "oracle":
         if args.grid < 1:
             raise _CliError(EXIT_USAGE, "--grid must be >= 1")
-        front = exact.grid_oracle(inst, grid_n=args.grid)
-        points = list(front)
+        points = list(exact.grid_oracle(inst, grid_n=args.grid))
+        if not points:
+            raise InfeasibleInstanceError(
+                f"no charge plan on the --grid {args.grid} mesh "
+                f"{{0, 1/{args.grid}, ..., 1}} is feasible on any path")
         fields["grid"] = args.grid
     else:
         weights = _parse_weights(args.weights)
@@ -246,12 +246,8 @@ def _cmd_solve(args, argv: list[str]) -> int:
             if args.epochs < 0:
                 raise _CliError(EXIT_USAGE, "--epochs must be >= 0")
             overrides["epochs"] = args.epochs
-        if args.method == "ga":
-            cfg = GAConfig(**overrides)
-            result = run_ga(inst, cfg, weights)
-        else:
-            cfg = PSOConfig(**overrides)
-            result = run_pso(inst, cfg, weights)
+        cfg = SearchConfig(**overrides)
+        result = (run_ga if args.method == "ga" else run_pso)(inst, cfg, weights)
         history_path = args.history or _out_dir() / f"{stem}-{args.method}-history.csv"
         history_path.parent.mkdir(parents=True, exist_ok=True)
         write_history_csv(result.history, history_path)

@@ -4,7 +4,8 @@ For a fixed path and a fixed set of charging stops, the remaining problem
 (how much to buy where) is the fixed-stop gas-station problem, which a greedy
 solves exactly. A cost cap makes it parametric in the weight between time
 and cost: a walk over the weights at which two stops swap price order
-gives each subset's (time, cost) front, and a capped optimum lies on it.
+gives each subset's (time, cost) front, and the least time within the cap
+is the first point of that front whose cost meets it.
 Global optima come from one scan over every path's stop subsets, and the
 budget-sweep front sampler builds on that; HiGHS, through
 `lp.solve_lp`, is the test reference. The brute-force grid oracle instead
@@ -70,15 +71,15 @@ def count_paths(graph: RouteGraph) -> int:
     return sum(counts[u] for u in graph.first_layer)
 
 
-def enumerate_paths(graph: RouteGraph, cap: int = DEFAULT_PATH_CAP) -> list[tuple[int, ...]]:
+def enumerate_paths(graph: RouteGraph) -> list[tuple[int, ...]]:
     """All S->D paths in lexicographic node-id order.
 
     Raises PathCountError before materializing anything when the DAG admits
-    more than cap paths.
+    more than DEFAULT_PATH_CAP paths.
     """
     total = count_paths(graph)
-    if total > cap:
-        raise PathCountError(total, cap)
+    if total > DEFAULT_PATH_CAP:
+        raise PathCountError(total, DEFAULT_PATH_CAP)
     last = set(graph.last_layer)
     paths: list[tuple[int, ...]] = []
 
@@ -247,13 +248,14 @@ def _first_within(verts: list, cap: float) -> tuple | None:
 
 def _charge_solve(pd: _PathData, sub: tuple, wt: float, wc: float,
                   cost_cap: float) -> tuple[float, float, list[float]] | None:
-    """Least (wt * time + wc * cost, time, cost) over the charges of one
-    entry of pd.subsets with cost at most cost_cap, as (time, cost,
+    """The best charges of one entry of pd.subsets, as (time, cost,
     charges), or None; the entry's lower bounds have already checked the
     cap of the empty subset.
 
-    With nonnegative weights this optimum is Pareto optimal, so it lies on
-    the subset's front, at or after the point where the cap starts to hold."""
+    Without a cap, best is least (wt * time + wc * cost, time, cost). Under
+    a finite cost_cap it is least time, then least cost, with cost at most
+    cost_cap, whatever the weights: the first point of the subset's front
+    where the cap holds."""
     _, _, z, t0, lo, hi = sub
     if not z:
         return t0, 0.0, []
@@ -264,12 +266,10 @@ def _charge_solve(pd: _PathData, sub: tuple, wt: float, wc: float,
         b = [pd.price_coef[j] for j in z]
         ys = _greedy(lo, hi, [(wt * x + wc * y, x, y) for x, y in zip(a, b)])
         return t0 + _dot(a, ys), _dot(b, ys), ys
-    verts = pd.front(z, lo, hi)
-    first = _first_within(verts, cost_cap)
+    first = _first_within(pd.front(z, lo, hi), cost_cap)
     if first is None:
         return None
-    a, b, ys = min([first] + [v for v in verts if v[0] > first[0]],
-                   key=lambda v: wt * v[0] + wc * v[1])
+    a, b, ys = first
     return t0 + a, b, ys
 
 
@@ -297,7 +297,8 @@ def _best_plan(instance: Instance, pdatas: list[_PathData], objective: str,
     least other objective among its ties. "weighted" minimizes
     weights[0] * time + weights[1] * cost with no secondary, so the first
     of tied subsets wins. Ties that survive break toward the earlier path,
-    then fewer stops, then the lexicographically smaller subset.
+    then fewer stops, then the lexicographically smaller subset. A
+    cost_cap is for "time" only, the budget rounds of epsilon_constraint.
     """
     if objective == "weighted":
         (wt, wc), (st, sc) = model.check_weights(weights), (0.0, 0.0)
@@ -327,27 +328,6 @@ def _best_plan(instance: Instance, pdatas: list[_PathData], objective: str,
     sol = RouteSolution(path=path, charge_plan=plan)
     obj = model.evaluate(instance, sol)
     return PathPlan(objectives=obj, solution=sol, value=wt * obj.time_h + wc * obj.cost)
-
-
-def optimize_path(instance: Instance, path: tuple[int, ...], objective: str = "time",
-                  weights: tuple[float, float] | None = None,
-                  cost_cap: float | None = None) -> PathPlan | None:
-    """Best charge plan along one fixed path, or None when no subset of
-    stops makes the path feasible within the cost cap.
-
-    objective is "time" or "cost", each an exact lexicographic optimum with
-    no slack (least time, then least cost among its ties, or the reverse),
-    or "weighted" (with weights). Ties between stop subsets break toward
-    fewer stops, then the lexicographically smaller subset.
-    """
-    if objective not in ("time", "cost", "weighted"):
-        raise ValueError("objective must be 'time', 'cost', or 'weighted'")
-    if objective == "weighted" and weights is None:
-        raise ValueError("weighted objective needs weights")
-    problem = model.path_structure_error(instance, path)
-    if problem is not None:
-        raise ValueError(problem)
-    return _best_plan(instance, [_PathData(instance, path)], objective, weights, cost_cap)
 
 
 def _prepare(instance: Instance) -> list[_PathData]:

@@ -248,6 +248,8 @@ def validate(instance: Instance) -> list[str]:
         errs.append(f"params.initial_soc_alpha must be in [0, 1], got {p.initial_soc}")
 
     g = instance.graph
+    if not g.levels:
+        return errs + ["graph.levels is empty"]
     nodes = set()
     for k, layer in enumerate(g.levels):
         if not layer:

@@ -11,15 +11,19 @@ marked as failed, never to a malformed one.
 run_ga and run_pso scalarize the two objectives with caller-supplied
 weights and penalize constraint violations, so they search the full
 continuous space while reporting only as-good-or-better feasible plans
-over time. They score a whole population per call with PopulationFitness,
-which decodes every row as array operations and hands the decoded plans to
-model.PlanArrays, the batched SOC recursion and objectives that the grid
-oracle also uses. It gives the same floats as decode() followed by
-model.penalized_fitness; fitness() is its one-row case, and decode() with
-the model's checker stays the scalar reference. Both make each epoch's
-seeded draws one epoch ahead on one worker thread, in the serial order, so
-a seed still gives the same history: per epoch the best fitness and its
-objectives (same scoring call), diversity and exploration/exploitation.
+over time. A SearchConfig sets their population, epochs and seed; the
+operator settings are the paper's, fixed as the module constants
+P_CROSSOVER, P_MUTATION and MUTATION_SIGMA (GA) and W_START, W_END, C1, C2
+and VELOCITY_LIMIT (PSO). They score a whole population per call with
+PopulationFitness.scores, which decodes every row as array operations and
+hands the decoded plans to model.PlanArrays, the batched SOC recursion and
+objectives that the grid oracle also uses. It gives the same floats as
+decode() followed by model.penalized_fitness; fitness() is its one-row
+case, and decode() with the model's checker stays the scalar reference.
+Both make each epoch's seeded draws one epoch ahead on one worker thread,
+in the serial order, so a seed still gives the same history: per epoch the
+best fitness and its objectives (same scoring call), diversity and
+exploration/exploitation.
 """
 from __future__ import annotations
 
@@ -36,10 +40,20 @@ from . import model
 from .instance import Instance, RouteGraph
 from .model import Objectives, PENALTY_BASE, RouteSolution
 
-# Velocity clamp for PSO, in encoding units.
-VELOCITY_LIMIT = 0.2
-# Standard deviation of the per-gene Gaussian mutation in run_ga.
+# The paper's operator settings. run_ga crosses a parent pair over with
+# probability P_CROSSOVER and adds N(0, MUTATION_SIGMA) noise to each gene
+# with probability P_MUTATION.
+P_CROSSOVER = 0.4
+P_MUTATION = 0.4
 MUTATION_SIGMA = 0.1
+# run_pso ramps inertia from W_START to W_END over the epochs, pulls toward
+# the personal and global best with weights C1 and C2, and clamps velocity
+# to VELOCITY_LIMIT encoding units.
+W_START = 0.1
+W_END = 0.5
+C1 = 2.5
+C2 = 2.5
+VELOCITY_LIMIT = 0.2
 
 HISTORY_CSV_COLUMNS = ("epoch", "best_fitness", "best_time_h", "best_cost",
                        "diversity", "exploration_pct")
@@ -113,13 +127,13 @@ class PopulationFitness:
     """fitness() for a whole population at once, with the same floats.
 
     Built once per validated instance and weights on model.PlanArrays.
-    Calling it on a (P, n^2 + 3n) array returns the P values fitness()
-    gives row by row: decode()'s argmax walk, one node per layer for all
-    rows together, then PlanArrays.soc_objectives, the SOC recursion and
-    objectives of the model with every float operation in the scalar code's
-    order. A decoded candidate never breaks a structural constraint or c13,
-    so its penalty is the sum of its SOC violation magnitudes. A non-finite
-    entry raises ValueError.
+    scores() on a (P, n^2 + 3n) array returns the P values fitness() gives
+    row by row, and their objectives: decode()'s argmax walk, one node per
+    layer for all rows together, then PlanArrays.soc_objectives, the SOC
+    recursion and objectives of the model with every float operation in the
+    scalar code's order. A decoded candidate never breaks a structural
+    constraint or c13, so its penalty is the sum of its SOC violation
+    magnitudes. A non-finite entry raises ValueError.
     """
 
     def __init__(self, instance: Instance,
@@ -134,9 +148,6 @@ class PopulationFitness:
         # Ascending positions, so argmax's first maximum is the lowest id.
         self.first = np.array(sorted(pos[u] for u in g.first_layer))
         self.last = np.array(sorted(pos[u] for u in g.last_layer))
-
-    def __call__(self, population) -> np.ndarray:
-        return self.scores(population)[0]
 
     def scores(self, population) -> tuple[np.ndarray, np.ndarray]:
         """Fitness (P,) and (time, cost) (P, 2), NaN off feasible plans."""
@@ -180,18 +191,18 @@ def fitness(instance: Instance, vector: Sequence[float],
 
     Decodable candidates get model.penalized_fitness of their decoded plan;
     walks that never complete get a penalty above every decodable
-    candidate's base. This is PopulationFitness on a one-row population.
+    candidate's base. This is PopulationFitness.scores on a one-row
+    population.
     """
     row = np.asarray(vector, dtype=float)[None, :]
-    return float(PopulationFitness(instance, weights)(row)[0])
+    return float(PopulationFitness(instance, weights).scores(row)[0][0])
 
 
 @dataclass(frozen=True)
-class GAConfig:
+class SearchConfig:
+    """Population size, epoch count and seed of one run_ga or run_pso call."""
     population: int = 1000
     epochs: int = 1000
-    p_crossover: float = 0.4
-    p_mutation: float = 0.4
     seed: int = 0
 
     def __post_init__(self):
@@ -199,31 +210,6 @@ class GAConfig:
             raise ValueError("population must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        for name in ("p_crossover", "p_mutation"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class PSOConfig:
-    population: int = 1000
-    epochs: int = 1000
-    w_start: float = 0.1
-    w_end: float = 0.5
-    c1: float = 2.5
-    c2: float = 2.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if not (0.0 <= self.w_start <= 1.0 and 0.0 <= self.w_end <= 1.0):
-            raise ValueError("inertia endpoints must lie in [0, 1]")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("acceleration coefficients must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -354,13 +340,13 @@ def _ahead(draw, count: int):
         thread.join()
 
 
-def run_ga(instance: Instance, cfg: GAConfig = GAConfig(),
+def run_ga(instance: Instance, cfg: SearchConfig = SearchConfig(),
            weights: tuple[float, float] = (0.5, 0.5)) -> SearchResult:
     """Elitist genetic algorithm on the route encoding.
 
     Per epoch: size-2 tournament selection, uniform crossover on parent
-    pairs with probability p_crossover, per-gene Gaussian mutation with
-    probability p_mutation, then the best cfg.population individuals of
+    pairs with probability P_CROSSOVER, per-gene Gaussian mutation with
+    probability P_MUTATION, then the best cfg.population individuals of
     parents plus offspring survive. Deterministic for a given seed.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -378,8 +364,8 @@ def run_ga(instance: Instance, cfg: GAConfig = GAConfig(),
 
     def draw():
         tour, coins = rng.integers(0, n, size=(n, 2)), rng.random(pairs)
-        swap = (rng.random((pairs, dim)) < 0.5) & (coins < cfg.p_crossover)[:, None]
-        return (tour, swap, rng.random((n, dim)) < cfg.p_mutation,
+        swap = (rng.random((pairs, dim)) < 0.5) & (coins < P_CROSSOVER)[:, None]
+        return (tour, swap, rng.random((n, dim)) < P_MUTATION,
                 rng.normal(0.0, MUTATION_SIGMA, size=(n, dim)))
 
     with contextlib.closing(_ahead(draw, cfg.epochs)) as draws:
@@ -406,12 +392,12 @@ def run_ga(instance: Instance, cfg: GAConfig = GAConfig(),
     return _result(instance, pop[0], fits[0], rec)
 
 
-def run_pso(instance: Instance, cfg: PSOConfig = PSOConfig(),
+def run_pso(instance: Instance, cfg: SearchConfig = SearchConfig(),
             weights: tuple[float, float] = (0.5, 0.5)) -> SearchResult:
     """Global-best particle swarm on the route encoding.
 
     Velocities start at zero and are clamped to +/-VELOCITY_LIMIT,
-    positions to [0,1]. Inertia ramps linearly from w_start to w_end over
+    positions to [0,1]. Inertia ramps linearly from W_START to W_END over
     the epochs; the global best updates synchronously after the whole
     swarm moves. Deterministic for a given seed.
     """
@@ -431,13 +417,13 @@ def run_pso(instance: Instance, cfg: PSOConfig = PSOConfig(),
 
     rec = _Recorder()
     rec.add(0, gbest_fit, gbest_obj, x)
-    with contextlib.closing(_ahead(lambda: (cfg.c1 * rng.random((n, dim)),
-                                            cfg.c2 * rng.random((n, dim))),
+    with contextlib.closing(_ahead(lambda: (C1 * rng.random((n, dim)),
+                                            C2 * rng.random((n, dim))),
                                    cfg.epochs)) as draws:
         for epoch, (pull_p, pull_g) in enumerate(draws, 1):
             frac = (epoch - 1) / (cfg.epochs - 1) if cfg.epochs > 1 else 0.0
             # In place, the floats of clip(w*v + c1*r1*(pbest-x) + c2*r2*(gbest-x)).
-            v *= cfg.w_start + (cfg.w_end - cfg.w_start) * frac
+            v *= W_START + (W_END - W_START) * frac
             pull_p *= pbest - x
             pull_g *= gbest - x
             v += pull_p

@@ -3,6 +3,7 @@ format shared by the exact solvers, the metaheuristics, and the CLI."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -161,16 +162,20 @@ def _parse_solution(path_s: str, charge_s: str, line: int) -> RouteSolution | No
         for item in charge_s.split(";"):
             try:
                 u, y = item.split(":")
-                plan[int(u)] = float(y)
+                u, y = int(u), float(y)
             except ValueError as e:
                 raise FrontCsvError(line, f"bad charge_plan entry {item!r}") from e
+            if math.isnan(y):
+                raise FrontCsvError(line, f"NaN in charge_plan entry {item!r}")
+            plan[u] = y
     return RouteSolution(path=path, charge_plan=plan)
 
 
 def read_front_csv(source: str | Path) -> list[FrontPoint]:
     """Parse a front CSV back into FrontPoints with RouteSolution payloads.
 
-    Raises FrontCsvError with a line number on malformed input.
+    Raises FrontCsvError with a line number on malformed input, NaN among
+    it; an infinite objective or charge is read as it is.
     """
     points: list[FrontPoint] = []
     with open(source, newline="", encoding="utf-8") as fh:
@@ -188,6 +193,8 @@ def read_front_csv(source: str | Path) -> list[FrontPoint]:
                 time_h, cost = float(row[0]), float(row[1])
             except ValueError as e:
                 raise FrontCsvError(line, f"bad numeric field in {row[:2]}") from e
+            if math.isnan(time_h) or math.isnan(cost):
+                raise FrontCsvError(line, f"NaN objective in {row[:2]}")
             points.append(FrontPoint(time_h=time_h, cost=cost,
                                      payload=_parse_solution(row[2], row[3], line)))
     return points

@@ -20,7 +20,7 @@ import pytest
 from evroute.cli import PRESETS, main, read_manifest
 from evroute.exact import epsilon_constraint, grid_oracle, min_cost, min_time, weighted_optimum
 from evroute.instance import generate_instance
-from evroute.metaheuristics import GAConfig, PSOConfig, run_ga, run_pso
+from evroute.metaheuristics import SearchConfig, run_ga, run_pso
 from evroute.model import (CHARGE_EPS, PENALTY_BASE, RouteSolution, active_charges,
                            check_feasible, driven_km, soc_trace)
 from evroute.pareto import FrontPoint, dominates, point_classes, write_front_csv
@@ -86,9 +86,8 @@ def bench_runs(bench_instance):
     """(method, seed, SearchResult, wall seconds) for 10 GA + 10 PSO runs."""
     runs = []
     for seed in RUN_SEEDS:
-        for method, runner, cfg in (
-                ("ga", run_ga, GAConfig(population=BENCH_POP, epochs=BENCH_EPOCHS, seed=seed)),
-                ("pso", run_pso, PSOConfig(population=BENCH_POP, epochs=BENCH_EPOCHS, seed=seed))):
+        cfg = SearchConfig(population=BENCH_POP, epochs=BENCH_EPOCHS, seed=seed)
+        for method, runner in (("ga", run_ga), ("pso", run_pso)):
             t0 = time.perf_counter()
             result = runner(bench_instance, cfg, BENCH_WEIGHTS)
             runs.append((method, seed, result, time.perf_counter() - t0))

@@ -223,6 +223,15 @@ class TestSolve:
         mf = read_manifest(outdir / "stranded-pso-history.csv.manifest")
         assert mf["out"] == ""
 
+    def test_oracle_without_feasible_mesh_point(self, outdir, capsys):
+        main(["generate", "--preset", "instance1", "--seed", "108",
+              "--initial-soc", "0.1"])
+        rc = main(["solve", "--instance",
+                   str(outdir / "instance-instance1-seed108.json"),
+                   "--method", "oracle"])
+        assert rc == EXIT_INFEASIBLE
+        assert "infeasible: no charge plan on the --grid 50 mesh" in capsys.readouterr().err
+
     def test_resource_cap_exit(self, outdir, capsys):
         main(["generate", "--preset", "instance4", "--seed", "1"])
         inst_path = outdir / "instance-instance4-seed1.json"
@@ -266,6 +275,7 @@ class TestSolve:
         (("params", "speed_v"), math.nan),
         (("graph", "edges", 0, 2), math.inf),
         (("stations", 0, "price"), -math.inf),
+        pytest.param(("graph", "levels"), [], id="no-levels"),
         # A repeated station id or edge; a callable value maps the document
         # to the new value at path.
         pytest.param(("stations",), lambda doc: doc["stations"] + [
@@ -398,7 +408,10 @@ class TestCompare:
         bad.write_text("time_h,cost\n")
         rc = main(["compare", str(a), str(bad)])
         assert rc == EXIT_VALIDATION
-        capsys.readouterr()
+        bad.write_text("time_h,cost,path,charge_plan\nnan,1.0,,\n")
+        rc = main(["compare", str(a), str(bad)])
+        assert rc == EXIT_VALIDATION
+        assert "line 2: NaN" in capsys.readouterr().err
 
 
 class TestManifests:

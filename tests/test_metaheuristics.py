@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from evroute import metaheuristics
 from evroute.cli import PRESETS
 from evroute.exact import enumerate_paths
 from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
                               generate_instance, validate)
 from evroute.metaheuristics import (HISTORY_CSV_COLUMNS, DecodeFailure,
-                                    GAConfig, PopulationFitness, PSOConfig,
-                                    _ahead, decode, diversity, diversity_metrics,
+                                    PopulationFitness, SearchConfig, _ahead,
+                                    decode, diversity, diversity_metrics,
                                     encoding_dim, fitness, run_ga, run_pso,
                                     write_history_csv)
 from evroute.model import (CHARGE_EPS, PENALTY_BASE, PlanArrays, RouteSolution,
@@ -226,7 +227,7 @@ class TestPopulationFitness:
         charges = pop[:, n * n:n * n + n]
         pick = rng.random(charges.shape) < 0.5
         charges[pick] = rng.choice(CHARGE_EDGES, size=int(pick.sum()))
-        got = PopulationFitness(inst, weights)(pop)
+        got = PopulationFitness(inst, weights).scores(pop)[0]
         want = [reference_fitness(inst, row, weights) for row in pop]
         assert got.tolist() == want
         assert [fitness(inst, row, weights) for row in pop[:5]] == want[:5]
@@ -237,7 +238,7 @@ class TestPopulationFitness:
         assert validate(inst) == []
         failed = PENALTY_BASE + inst.graph.n_nodes
         pop = np.random.default_rng(1).random((200, encoding_dim(inst.graph)))
-        got = PopulationFitness(inst, (1.0, 1.0))(pop)
+        got = PopulationFitness(inst, (1.0, 1.0)).scores(pop)[0]
         assert (got < PENALTY_BASE).any()
         assert ((got > PENALTY_BASE) & (got < failed)).any()
         assert (got == failed).any()
@@ -245,7 +246,7 @@ class TestPopulationFitness:
     def test_rejects_bad_input(self):
         inst = bipartite_instance()
         with pytest.raises(ValueError, match="shape"):
-            PopulationFitness(inst, (1.0, 1.0))(np.zeros(28))
+            PopulationFitness(inst, (1.0, 1.0)).scores(np.zeros(28))
         with pytest.raises(ValueError, match="finite"):
             fitness(inst, vec28(x=[(2, math.nan)]), (1.0, 1.0))
         inst = generate_instance(PRESETS["instance1"], seed=108)
@@ -315,8 +316,9 @@ GOLDEN_RUNS = [
 
 def check_golden(tmp_path, preset, seed, method, population, epochs, digest, best):
     inst = generate_instance(PRESETS[preset], seed=seed)
-    run, config = (run_ga, GAConfig) if method == "ga" else (run_pso, PSOConfig)
-    res = run(inst, config(population=population, epochs=epochs, seed=100), (1.0, 1.0))
+    run = run_ga if method == "ga" else run_pso
+    res = run(inst, SearchConfig(population=population, epochs=epochs, seed=100),
+              (1.0, 1.0))
     dest = tmp_path / "history.csv"
     write_history_csv(res.history, dest)
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
@@ -360,11 +362,11 @@ def test_edge_history(tmp_path, method, population, epochs, digest, best):
 class TestDrawThread:
     """The worker thread that makes GA/PSO draws one epoch ahead."""
 
-    @pytest.mark.parametrize("run,config", [(run_ga, GAConfig), (run_pso, PSOConfig)])
-    def test_no_thread_outlives_a_run(self, monkeypatch, run, config):
+    @pytest.mark.parametrize("run", [run_ga, run_pso])
+    def test_no_thread_outlives_a_run(self, monkeypatch, run):
         inst = generate_instance((2, 8, 0.6), seed=102)
         before = threading.active_count()
-        run(inst, config(population=8, epochs=5, seed=0), (1.0, 1.0))
+        run(inst, SearchConfig(population=8, epochs=5, seed=0), (1.0, 1.0))
         assert threading.active_count() == before
 
         err = RuntimeError("scores failed")
@@ -379,7 +381,7 @@ class TestDrawThread:
 
         monkeypatch.setattr(PopulationFitness, "scores", failing)
         with pytest.raises(RuntimeError) as info:
-            run(inst, config(population=8, epochs=5, seed=0), (1.0, 1.0))
+            run(inst, SearchConfig(population=8, epochs=5, seed=0), (1.0, 1.0))
         assert info.value is err
         assert len(calls) == 3
         assert threading.active_count() == before
@@ -454,28 +456,19 @@ class TestDiversity:
 
 class TestConfigs:
     def test_defaults_follow_reference_settings(self):
-        ga = GAConfig()
-        assert (ga.population, ga.epochs) == (1000, 1000)
-        assert (ga.p_crossover, ga.p_mutation) == (0.4, 0.4)
-        pso = PSOConfig()
-        assert (pso.w_start, pso.w_end) == (0.1, 0.5)
-        assert (pso.c1, pso.c2) == (2.5, 2.5)
+        cfg = SearchConfig()
+        assert (cfg.population, cfg.epochs, cfg.seed) == (1000, 1000, 0)
+        m = metaheuristics
+        assert (m.P_CROSSOVER, m.P_MUTATION, m.MUTATION_SIGMA) == (0.4, 0.4, 0.1)
+        assert (m.W_START, m.W_END) == (0.1, 0.5)
+        assert (m.C1, m.C2, m.VELOCITY_LIMIT) == (2.5, 2.5, 0.2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="population"):
-            GAConfig(population=0)
+            SearchConfig(population=0)
         with pytest.raises(ValueError, match="epochs"):
-            GAConfig(epochs=-1)
-        with pytest.raises(ValueError, match="p_crossover"):
-            GAConfig(p_crossover=1.5)
-        with pytest.raises(ValueError, match="p_mutation"):
-            GAConfig(p_mutation=-0.1)
-        with pytest.raises(ValueError, match="population"):
-            PSOConfig(population=0)
-        with pytest.raises(ValueError, match="inertia"):
-            PSOConfig(w_start=1.2)
-        with pytest.raises(ValueError, match="acceleration"):
-            PSOConfig(c2=-1.0)
+            SearchConfig(epochs=-1)
+        assert SearchConfig(population=1, epochs=0).epochs == 0
 
 
 def check_common_run_contract(inst, result, epochs, weights):
@@ -503,7 +496,7 @@ def check_common_run_contract(inst, result, epochs, weights):
 class TestRunGA:
     def test_contract_and_determinism(self):
         inst = generate_instance((2, 8, 0.6), seed=102)
-        cfg = GAConfig(population=24, epochs=15, seed=5)
+        cfg = SearchConfig(population=24, epochs=15, seed=5)
         a = run_ga(inst, cfg, (1.0, 1.0))
         check_common_run_contract(inst, a, 15, (1.0, 1.0))
         assert a.feasible
@@ -515,7 +508,7 @@ class TestRunGA:
     def test_zero_epochs_returns_initial_best(self):
         inst = generate_instance((2, 8, 0.6), seed=102)
         dim = encoding_dim(inst.graph)
-        cfg = GAConfig(population=16, epochs=0, seed=9)
+        cfg = SearchConfig(population=16, epochs=0, seed=9)
         res = run_ga(inst, cfg, (1.0, 1.0))
         assert len(res.history) == 1
         pop0 = np.random.default_rng(9).random((16, dim))
@@ -524,12 +517,12 @@ class TestRunGA:
 
     def test_population_of_one(self):
         inst = generate_instance((2, 8, 0.6), seed=102)
-        res = run_ga(inst, GAConfig(population=1, epochs=3, seed=0), (1.0, 1.0))
+        res = run_ga(inst, SearchConfig(population=1, epochs=3, seed=0), (1.0, 1.0))
         assert len(res.history) == 4
 
     def test_all_infeasible_instance(self):
         inst = single_node_instance(d_s=700.0, d_d=700.0, initial_soc=1.0)
-        res = run_ga(inst, GAConfig(population=10, epochs=4, seed=1), (1.0, 1.0))
+        res = run_ga(inst, SearchConfig(population=10, epochs=4, seed=1), (1.0, 1.0))
         assert not res.feasible
         assert res.solution is None and res.objectives is None
         assert res.fitness >= PENALTY_BASE
@@ -540,7 +533,7 @@ class TestRunGA:
 class TestRunPSO:
     def test_contract_and_determinism(self):
         inst = generate_instance((2, 8, 0.6), seed=102)
-        cfg = PSOConfig(population=24, epochs=15, seed=5)
+        cfg = SearchConfig(population=24, epochs=15, seed=5)
         a = run_pso(inst, cfg, (1.0, 1.0))
         check_common_run_contract(inst, a, 15, (1.0, 1.0))
         assert a.feasible
@@ -552,7 +545,7 @@ class TestRunPSO:
     def test_zero_epochs_returns_initial_best(self):
         inst = generate_instance((2, 8, 0.6), seed=102)
         dim = encoding_dim(inst.graph)
-        cfg = PSOConfig(population=16, epochs=0, seed=9)
+        cfg = SearchConfig(population=16, epochs=0, seed=9)
         res = run_pso(inst, cfg, (1.0, 1.0))
         assert len(res.history) == 1
         pop0 = np.random.default_rng(9).random((16, dim))
@@ -561,20 +554,20 @@ class TestRunPSO:
 
     def test_single_epoch_and_particle_edge(self):
         inst = generate_instance((2, 8, 0.6), seed=102)
-        res = run_pso(inst, PSOConfig(population=1, epochs=1, seed=0), (1.0, 1.0))
+        res = run_pso(inst, SearchConfig(population=1, epochs=1, seed=0), (1.0, 1.0))
         assert len(res.history) == 2
 
     def test_seed_changes_trajectory(self):
         inst = generate_instance((2, 8, 0.6), seed=102)
-        a = run_pso(inst, PSOConfig(population=24, epochs=10, seed=1), (1.0, 1.0))
-        b = run_pso(inst, PSOConfig(population=24, epochs=10, seed=2), (1.0, 1.0))
+        a = run_pso(inst, SearchConfig(population=24, epochs=10, seed=1), (1.0, 1.0))
+        b = run_pso(inst, SearchConfig(population=24, epochs=10, seed=2), (1.0, 1.0))
         assert a.history.diversity != b.history.diversity
 
 
 class TestHistoryCsv:
     def test_written_file_round_trips(self, tmp_path):
         inst = generate_instance((2, 8, 0.6), seed=102)
-        res = run_ga(inst, GAConfig(population=12, epochs=6, seed=3), (1.0, 1.0))
+        res = run_ga(inst, SearchConfig(population=12, epochs=6, seed=3), (1.0, 1.0))
         dest = tmp_path / "history.csv"
         write_history_csv(res.history, dest)
         with open(dest, newline="") as fh:
@@ -589,7 +582,7 @@ class TestHistoryCsv:
 
     def test_nan_objectives_survive_round_trip(self, tmp_path):
         inst = single_node_instance(d_s=700.0, d_d=700.0, initial_soc=1.0)
-        res = run_pso(inst, PSOConfig(population=6, epochs=2, seed=0), (1.0, 1.0))
+        res = run_pso(inst, SearchConfig(population=6, epochs=2, seed=0), (1.0, 1.0))
         dest = tmp_path / "history.csv"
         write_history_csv(res.history, dest)
         with open(dest, newline="") as fh:

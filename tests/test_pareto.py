@@ -1,4 +1,6 @@
 """Dominance filtering, front comparison, and the front CSV format."""
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +200,17 @@ class TestFrontCsv:
         bad.write_text(",".join(FRONT_CSV_COLUMNS) + "\n1.0,2.0,1-2,2:zz\n")
         with pytest.raises(FrontCsvError, match="charge_plan"):
             read_front_csv(bad)
+
+    def test_rejects_nan_reads_inf(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        for row in ("nan,1.0,,", "1.0,NaN,,", "1.0,2.0,1-2,2:nan"):
+            bad.write_text(",".join(FRONT_CSV_COLUMNS) + f"\n{row}\n")
+            with pytest.raises(FrontCsvError, match="line 2: NaN"):
+                read_front_csv(bad)
+        points = [FrontPoint(math.inf, 1.0, RouteSolution((1, 2), {2: math.inf})),
+                  FrontPoint(2.0, -math.inf)]
+        _, back = self.roundtrip(tmp_path, points)
+        assert back == points
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
