@@ -7,10 +7,9 @@ globally optimal solvers and the budget-sweep front generator, `grid_oracle`
 a brute-force reference, `metaheuristics` GA/PSO searchers over a
 continuous encoding, and `cli` the command-line workflows.
 """
-from .exact import (InfeasibleInstanceError, PathCountError, PathPlan,
-                    ResourceCapError, count_paths, enumerate_paths,
-                    epsilon_constraint, grid_oracle, min_cost, min_time,
-                    weighted_optimum)
+from .exact import (InfeasibleInstanceError, PathPlan, ResourceCapError,
+                    count_paths, enumerate_paths, epsilon_constraint,
+                    grid_oracle, min_cost, min_time, weighted_optimum)
 from .instance import (Instance, InstanceFormatError, RouteGraph, Station,
                        VehicleParams, generate_graph, generate_instance, load,
                        save, validate)

@@ -18,7 +18,6 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import os
 import shlex
 import sys
@@ -26,8 +25,9 @@ import time
 from pathlib import Path
 
 from . import exact
-from .exact import InfeasibleInstanceError, PathCountError, ResourceCapError
-from .instance import InstanceFormatError, VehicleParams, generate_instance, load, save
+from .exact import InfeasibleInstanceError, ResourceCapError
+from .instance import (InstanceFormatError, VehicleParams, generate_instance, load,
+                       save, validate)
 from .metaheuristics import SearchConfig, run_ga, run_pso, write_history_csv
 from .model import check_weights
 from .pareto import (FrontCsvError, FrontPoint, front_compare, read_front_csv,
@@ -183,24 +183,19 @@ def _cmd_generate(args, argv: list[str]) -> int:
             raise _CliError(EXIT_USAGE,
                             "provide --preset or all of --levels, "
                             "--max-per-level, --p-edge")
-        if args.levels < 1:
-            raise _CliError(EXIT_USAGE, "--levels must be >= 1")
-        if args.max_per_level < 1:
-            raise _CliError(EXIT_USAGE, "--max-per-level must be >= 1")
-        if not 0.0 <= args.p_edge <= 1.0:
-            raise _CliError(EXIT_USAGE, "--p-edge must lie in [0, 1]")
-        shape = (args.levels, args.max_per_level, args.p_edge)
+        shape = shape_flags
         tag = f"{args.levels}x{args.max_per_level}"
-    for name in ("speed_kmh", "capacity_kwh", "km_per_kwh", "initial_soc"):
-        if not 0 < getattr(args, name) < math.inf:
-            raise _CliError(EXIT_USAGE,
-                            f"--{name.replace('_', '-')} must be > 0 and finite")
-    if args.initial_soc > 1.0:
-        raise _CliError(EXIT_USAGE, "--initial-soc must be <= 1")
 
     params = VehicleParams(speed_kmh=args.speed_kmh, capacity_kwh=args.capacity_kwh,
                            km_per_kwh=args.km_per_kwh, initial_soc=args.initial_soc)
-    inst = generate_instance(shape, params=params, seed=args.seed)
+    # The library owns the shape and instance rules: refuse what load refuses.
+    try:
+        inst = generate_instance(shape, params=params, seed=args.seed)
+    except ValueError as exc:
+        raise _CliError(EXIT_USAGE, str(exc))
+    errs = validate(inst)
+    if errs:
+        raise _CliError(EXIT_USAGE, "; ".join(errs))
     out = args.out or _out_dir() / f"instance-{tag}-seed{args.seed}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     save(inst, out)
@@ -237,16 +232,12 @@ def _cmd_solve(args, argv: list[str]) -> int:
         fields["grid"] = args.grid
     else:
         weights = _parse_weights(args.weights)
-        overrides: dict = {"seed": args.seed}
-        if args.pop is not None:
-            if args.pop < 1:
-                raise _CliError(EXIT_USAGE, "--pop must be >= 1")
-            overrides["population"] = args.pop
-        if args.epochs is not None:
-            if args.epochs < 0:
-                raise _CliError(EXIT_USAGE, "--epochs must be >= 0")
-            overrides["epochs"] = args.epochs
-        cfg = SearchConfig(**overrides)
+        sizes = {"population": args.pop, "epochs": args.epochs}
+        try:
+            cfg = SearchConfig(seed=args.seed,
+                               **{k: v for k, v in sizes.items() if v is not None})
+        except ValueError as exc:
+            raise _CliError(EXIT_USAGE, str(exc))
         result = (run_ga if args.method == "ga" else run_pso)(inst, cfg, weights)
         history_path = args.history or _out_dir() / f"{stem}-{args.method}-history.csv"
         history_path.parent.mkdir(parents=True, exist_ok=True)
@@ -339,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleInstanceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (PathCountError, ResourceCapError) as exc:
+    except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -29,7 +29,7 @@ from . import model
 from .instance import Instance, RouteGraph
 # Unused here; perfbench's traced run wraps evroute.exact.solve_lp by this name.
 from .lp import solve_lp  # noqa: F401
-from .model import CHARGE_EPS, Objectives, RouteSolution
+from .model import CHARGE_EPS, SOLVER_SOC_SLACK, Objectives, RouteSolution
 from .pareto import FrontPoint, ParetoFront, filter_nondominated, staircase
 
 DEFAULT_PATH_CAP = 10**6
@@ -37,17 +37,11 @@ DEFAULT_EVAL_CAP = 10**7
 TIE_TOL = 1e-9
 # (time, cost) weights of the primary and the secondary objective.
 _LEX = {"time": ((1.0, 0.0), (0.0, 1.0)), "cost": ((0.0, 1.0), (1.0, 0.0))}
+# Slack of a subset's least cost against a budget round's cost cap.
 _CAP_SLACK = 1e-9
 _INF = float("inf")
 # Most rows grid_oracle grows in one array call, small enough to stay in cache.
 ORACLE_CHUNK = 1 << 13
-
-
-class PathCountError(RuntimeError):
-    def __init__(self, count: int, cap: int):
-        self.count = count
-        self.cap = cap
-        super().__init__(f"graph admits {count} S->D paths, above the cap of {cap}")
 
 
 class ResourceCapError(RuntimeError):
@@ -74,12 +68,13 @@ def count_paths(graph: RouteGraph) -> int:
 def enumerate_paths(graph: RouteGraph) -> list[tuple[int, ...]]:
     """All S->D paths in lexicographic node-id order.
 
-    Raises PathCountError before materializing anything when the DAG admits
-    more than DEFAULT_PATH_CAP paths.
+    Raises ResourceCapError before materializing anything when the DAG
+    admits more than DEFAULT_PATH_CAP paths.
     """
     total = count_paths(graph)
     if total > DEFAULT_PATH_CAP:
-        raise PathCountError(total, DEFAULT_PATH_CAP)
+        raise ResourceCapError(f"graph admits {total} S->D paths, "
+                               f"above the cap of {DEFAULT_PATH_CAP}")
     last = set(graph.last_layer)
     paths: list[tuple[int, ...]] = []
 
@@ -128,7 +123,7 @@ class _PathData:
         make a path with such a leg feasible."""
         full = [self.alpha] + [1.0] * self.k
         return next((j for j, d in enumerate(self.legs + [self.d_dest])
-                     if d > full[j] * self.r + _CAP_SLACK * self.r), None)
+                     if d > full[j] * self.r + SOLVER_SOC_SLACK * self.r), None)
 
     def _subsets(self) -> list[tuple]:
         """(time_lb, cost_lb, z, t0, lo, hi) for every stop subset z that
@@ -148,14 +143,14 @@ class _PathData:
         def walk(j: int, acc: float, prev: float, soc: float,
                  z: tuple[int, ...], depl_z: tuple[float, ...]) -> None:
             if j == k:
-                if soc - self.d_dest / r >= -1e-9:
+                if soc - self.d_dest / r >= -SOLVER_SOC_SLACK:
                     found.append((z, depl_z, prev))
                 return
             for stop in (False, True):
                 a = acc + (self.legs[j] + (self.delta[j] if stop else 0.0))
                 depl = a / r
                 left = soc - (depl - prev)
-                if left < -1e-9:
+                if left < -SOLVER_SOC_SLACK:
                     continue
                 if stop:
                     walk(j + 1, a, depl, 1.0, z + (j,), depl_z + (depl,))

@@ -244,6 +244,9 @@ def validate(instance: Instance) -> list[str]:
                         ("mileage_gamma", p.km_per_kwh)):
         if not 0 < value < math.inf:
             errs.append(f"params.{name} must be > 0 and finite, got {value}")
+    if not errs and not 0 < p.range_km < math.inf:
+        errs.append("params.capacity_C * params.mileage_gamma (the range) must be "
+                    f"> 0 and finite, got {p.range_km}")
     if not (0.0 <= p.initial_soc <= 1.0):
         errs.append(f"params.initial_soc_alpha must be in [0, 1], got {p.initial_soc}")
 
@@ -306,7 +309,16 @@ def validate(instance: Instance) -> list[str]:
     if not (0.0 <= p_edge <= 1.0):
         errs.append(f"shape p_edge must be in [0, 1], got {p_edge}")
 
-    if not errs and not _reachable(g.levels, g.edges) & set(g.last_layer):
+    if errs:
+        return errs
+    # No trip drives more than every edge and detour plus the longest
+    # source and destination legs.
+    km = (sum(g.edges.values()) + sum(st.detour_km for st in instance.stations.values())
+          + max(g.source_dist.values()) + max(g.dest_dist.values()))
+    if not km / p.speed_kmh < math.inf:
+        errs.append(f"params.speed_v = {p.speed_kmh} gives an infinite time for the "
+                    f"{km} km of edges, detours and end legs")
+    if not _reachable(g.levels, g.edges) & set(g.last_layer):
         errs.append("no S->D path exists in the graph")
     return errs
 

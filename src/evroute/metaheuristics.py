@@ -210,6 +210,8 @@ class SearchConfig:
             raise ValueError("population must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ CHARGE_EPS = 1e-9
 # Slack applied to battery bound checks so exact-arithmetic optima survive
 # floating point re-evaluation.
 SOC_TOL = 1e-6
+# Slack of the exact solver's battery bound tests, as a battery fraction;
+# far tighter than SOC_TOL, the checker's, so the solver's plans pass the checker.
+SOLVER_SOC_SLACK = 1e-9
 # Base penalty for infeasible or undecodable candidates.
 PENALTY_BASE = 1e9
 
@@ -102,23 +105,56 @@ def active_charges(instance: Instance, solution: RouteSolution) -> dict[int, flo
             if plan.get(u, 0.0) > CHARGE_EPS}
 
 
-def path_structure_error(instance: Instance, path: tuple[int, ...]) -> str | None:
-    """None when the path is structurally sound (starts in layer 0, ends in
-    the last layer, every step is an existing edge); otherwise a message."""
-    g = instance.graph
+def _path_violations(instance: Instance, path: tuple[int, ...]) -> list[Violation]:
+    """The structural constraints a path breaks (c3-c7, c12, c19), in
+    check_feasible's order; an empty list means the SOC recursion can run
+    along it."""
     if not path:
-        return "path is empty"
-    for u in path:
-        if u not in g.node_set():
-            return f"node {u} is not in the graph"
-    if g.layer_of(path[0]) != 0:
-        return f"path starts at node {path[0]} which is not in layer 0"
-    if g.layer_of(path[-1]) != len(g.levels) - 1:
-        return f"path ends at node {path[-1]} which is not in the last layer"
-    for i, j in zip(path, path[1:]):
-        if (i, j) not in g.edges:
-            return f"edge ({i}, {j}) does not exist"
-    return None
+        return [Violation("c3", 1.0, "empty path: no departure from source"),
+                Violation("c4", 1.0, "empty path: no arrival at destination")]
+
+    g = instance.graph
+    viols: list[Violation] = []
+    known = g.node_set()
+    for u in dict.fromkeys(path):
+        if u not in known:
+            viols.append(Violation("c7", 1.0, f"node {u} is not in the graph"))
+    if path[0] in known and g.layer_of(path[0]) != 0:
+        viols.append(Violation(
+            "c3", 1.0,
+            f"path starts at node {path[0]} in layer {g.layer_of(path[0])}; "
+            "the source connects only to layer 0"))
+    if path[-1] in known and g.layer_of(path[-1]) != len(g.levels) - 1:
+        viols.append(Violation(
+            "c4", 1.0,
+            f"path ends at node {path[-1]} in layer {g.layer_of(path[-1])}; "
+            "the destination is reached only from the last layer"))
+
+    steps = Counter(zip(path, path[1:]))
+    for (i, j), cnt in sorted(steps.items()):
+        if i == j:
+            viols.append(Violation("c12", float(cnt), f"self loop at node {i}"))
+            continue
+        if i in known and j in known and (i, j) not in g.edges:
+            viols.append(Violation("c7", float(cnt), f"edge ({i}, {j}) does not exist"))
+        if cnt > 1:
+            viols.append(Violation("c19", float(cnt - 1),
+                                   f"edge ({i}, {j}) used {cnt} times"))
+
+    indeg, outdeg = Counter(path[1:]), Counter(path[:-1])
+    for u in sorted(set(path)):
+        if indeg[u] > 1:
+            viols.append(Violation("c5", float(indeg[u] - 1),
+                                   f"node {u} is entered {indeg[u]} times"))
+        if outdeg[u] > 1:
+            viols.append(Violation("c6", float(outdeg[u] - 1),
+                                   f"node {u} is left {outdeg[u]} times"))
+        balance = (indeg[u] + (1 if u == path[0] else 0)
+                   - outdeg[u] - (1 if u == path[-1] else 0))
+        if balance != 0:
+            viols.append(Violation("c7", float(abs(balance)),
+                                   f"flow imbalance {balance} at node {u}"))
+    return viols
 
 
 def _soc_scan(instance: Instance, path: tuple[int, ...],
@@ -162,14 +198,15 @@ def _soc_scan(instance: Instance, path: tuple[int, ...],
 def soc_trace(instance: Instance, solution: RouteSolution) -> SocTrace:
     """SOC recursion along the path.
 
-    Requires a structurally valid path (raises ValueError otherwise). The
-    trace is always fully computed; feasibility reflects whether arrival SOC
-    stayed >= -SOC_TOL everywhere, departure SOC within [0 - tol, 1 + tol],
-    and the destination is reached with beta >= -SOC_TOL.
+    Requires a path that breaks none of check_feasible's structural
+    constraints (raises ValueError with the first one's detail otherwise).
+    The trace is always fully computed; feasibility reflects whether arrival
+    SOC stayed >= -SOC_TOL everywhere, departure SOC within [0 - tol,
+    1 + tol], and the destination is reached with beta >= -SOC_TOL.
     """
-    problem = path_structure_error(instance, solution.path)
-    if problem is not None:
-        raise ValueError(problem)
+    problems = _path_violations(instance, solution.path)
+    if problems:
+        raise ValueError(problems[0].detail)
     q, beta, viols = _soc_scan(instance, solution.path, solution.charge_plan)
     return SocTrace(q=q, beta=beta, feasible=not viols,
                     violation=viols[0] if viols else None)
@@ -323,7 +360,6 @@ def check_feasible(instance: Instance, solution: RouteSolution) -> ConstraintRep
     record cannot express differently (w_S, w_D, z) hold by construction;
     duplicate edge uses surface as c19. Never raises.
     """
-    g = instance.graph
     path = solution.path
     viols: list[Violation] = []
 
@@ -333,63 +369,9 @@ def check_feasible(instance: Instance, solution: RouteSolution) -> ConstraintRep
         elif y > 1.0 + SOC_TOL:
             viols.append(Violation("c13", float(y) - 1.0, f"y[{u}] = {y} above 1"))
 
-    if not path:
-        viols.append(Violation("c3", 1.0, "empty path: no departure from source"))
-        viols.append(Violation("c4", 1.0, "empty path: no arrival at destination"))
-        return ConstraintReport(tuple(viols))
-
-    structural = False
-    known = g.node_set()
-    for u in dict.fromkeys(path):
-        if u not in known:
-            viols.append(Violation("c7", 1.0, f"node {u} is not in the graph"))
-            structural = True
-    if path[0] in known and g.layer_of(path[0]) != 0:
-        viols.append(Violation(
-            "c3", 1.0,
-            f"path starts at node {path[0]} in layer {g.layer_of(path[0])}; "
-            "the source connects only to layer 0"))
-        structural = True
-    if path[-1] in known and g.layer_of(path[-1]) != len(g.levels) - 1:
-        viols.append(Violation(
-            "c4", 1.0,
-            f"path ends at node {path[-1]} in layer {g.layer_of(path[-1])}; "
-            "the destination is reached only from the last layer"))
-        structural = True
-
-    steps = Counter(zip(path, path[1:]))
-    for (i, j), cnt in sorted(steps.items()):
-        if i == j:
-            viols.append(Violation("c12", float(cnt), f"self loop at node {i}"))
-            structural = True
-            continue
-        if i in known and j in known and (i, j) not in g.edges:
-            viols.append(Violation("c7", float(cnt), f"edge ({i}, {j}) does not exist"))
-            structural = True
-        if cnt > 1:
-            viols.append(Violation("c19", float(cnt - 1),
-                                   f"edge ({i}, {j}) used {cnt} times"))
-            structural = True
-
-    indeg = Counter(j for _, j in steps.elements())
-    outdeg = Counter(i for i, _ in steps.elements())
-    for u in sorted(set(path)):
-        if indeg[u] > 1:
-            viols.append(Violation("c5", float(indeg[u] - 1),
-                                   f"node {u} is entered {indeg[u]} times"))
-            structural = True
-        if outdeg[u] > 1:
-            viols.append(Violation("c6", float(outdeg[u] - 1),
-                                   f"node {u} is left {outdeg[u]} times"))
-            structural = True
-        balance = (indeg[u] + (1 if u == path[0] else 0)
-                   - outdeg[u] - (1 if u == path[-1] else 0))
-        if balance != 0:
-            viols.append(Violation("c7", float(abs(balance)),
-                                   f"flow imbalance {balance} at node {u}"))
-            structural = True
-
-    if not structural:
+    structure = _path_violations(instance, path)
+    viols += structure
+    if not structure:
         _, _, soc_viols = _soc_scan(instance, path, solution.charge_plan)
         for sv in soc_viols:
             where = "destination leg" if sv.node is None else f"node {sv.node}"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evroute import cli
+from evroute import cli, exact
 from evroute.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                          EXIT_VALIDATION, OUT_DIR_ENV, PRESETS,
                          REPORT_CSV_COLUMNS, main, read_manifest)
@@ -141,9 +141,30 @@ class TestGenerate:
         ["generate", "--preset", "instance1", "--seed", "108", "--speed-kmh", "nan"],
         ["generate", "--preset", "instance1", "--seed", "108", "--km-per-kwh", "inf"],
         ["generate", "--preset", "instance1", "--seed", "-1"],
+        # Above numpy's int64 bound in generate_graph's draw.
+        ["generate", "--levels", "2", "--max-per-level", "100000000000000000000",
+         "--p-edge", "0.5"],
+        # The trip time or the range overflows.
+        ["generate", "--preset", "instance1", "--seed", "108", "--speed-kmh", "1e-320"],
+        ["generate", "--preset", "instance1", "--seed", "108",
+         "--capacity-kwh", "1e-200", "--km-per-kwh", "1e-200"],
+        ["generate", "--preset", "instance1", "--seed", "108",
+         "--capacity-kwh", "1e200", "--km-per-kwh", "1e200"],
     ])
     def test_usage_errors(self, outdir, capsys, argv):
         assert main(argv) == EXIT_USAGE
+        assert not list(outdir.iterdir())
+        capsys.readouterr()
+
+    def test_refuses_what_load_refuses(self, outdir, capsys):
+        # A start at empty loads, so generate writes it; no plan leaves S.
+        rc = main(["generate", "--preset", "instance1", "--seed", "108",
+                   "--initial-soc", "0"])
+        assert rc == EXIT_OK
+        inst_path = outdir / "instance-instance1-seed108.json"
+        assert load(inst_path).params.initial_soc == 0.0
+        rc = main(["solve", "--instance", str(inst_path), "--method", "eps-front"])
+        assert rc == EXIT_INFEASIBLE
         capsys.readouterr()
 
 
@@ -240,6 +261,12 @@ class TestSolve:
         assert rc == EXIT_RESOURCE
         assert "resource cap:" in capsys.readouterr().err
 
+    def test_path_cap_exit(self, outdir, capsys, inst_file, monkeypatch):
+        monkeypatch.setattr(exact, "DEFAULT_PATH_CAP", 1)
+        rc = main(["solve", "--instance", str(inst_file), "--method", "exact-time"])
+        assert rc == EXIT_RESOURCE
+        assert "resource cap: graph admits" in capsys.readouterr().err
+
     @pytest.mark.parametrize("delta", ["1e-12", "1e-320"])
     def test_tiny_delta_hits_resource_cap(self, outdir, capsys, delta):
         main(["generate", "--preset", "instance1", "--seed", "108"])
@@ -282,6 +309,7 @@ class TestSolve:
             dict(doc["stations"][0], price=9.0)], id="duplicate-station"),
         pytest.param(("graph", "edges"), lambda doc: doc["graph"]["edges"] + [
             doc["graph"]["edges"][0][:2] + [1.0]], id="duplicate-edge"),
+        pytest.param(("params", "speed_v"), 1e-320, id="infinite-trip-time"),
     ])
     def test_malformed_instance_exits_3(self, capsys, fuzz_dir, path, value):
         doc = copy.deepcopy(fuzz_dir[0])

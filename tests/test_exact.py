@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from evroute import exact, model
 from evroute.cli import PRESETS
-from evroute.exact import (InfeasibleInstanceError, PathCountError,
-                           ResourceCapError, count_paths, enumerate_paths,
-                           epsilon_constraint, grid_oracle, min_cost,
-                           min_time, weighted_optimum)
+from evroute.exact import (InfeasibleInstanceError, ResourceCapError,
+                           count_paths, enumerate_paths, epsilon_constraint,
+                           grid_oracle, min_cost, min_time, weighted_optimum)
 from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
                               generate_instance)
 from evroute.lp import OPTIMAL, solve_lp
@@ -158,10 +157,9 @@ class TestPathEnumeration:
         n = count_paths(graph)
         assert n > 1
         with mock.patch.object(exact, "DEFAULT_PATH_CAP", n - 1), \
-                pytest.raises(PathCountError) as e:
+                pytest.raises(ResourceCapError,
+                              match=f"^graph admits {n} S->D paths, above the cap of {n - 1}$"):
             enumerate_paths(graph)
-        assert e.value.count == n
-        assert e.value.cap == n - 1
 
 
 class TestClosedForms:

@@ -171,6 +171,16 @@ class TestValidate:
                                    params=VehicleParams(initial_soc=1.5))
         assert any("initial_soc" in m for m in validate(inst))
 
+    @pytest.mark.parametrize("params,match", [
+        (VehicleParams(speed_kmh=1e-320), "infinite time"),
+        (VehicleParams(capacity_kwh=1e-200, km_per_kwh=1e-200), "range"),
+        (VehicleParams(capacity_kwh=1e200, km_per_kwh=1e200), "range"),
+    ])
+    def test_arithmetic_overflow(self, params, match):
+        inst = dataclasses.replace(small_instance(), params=params)
+        msgs = validate(inst)
+        assert len(msgs) == 1 and match in msgs[0]
+
     def test_station_node_mismatch(self):
         inst = small_instance()
         broken = dataclasses.replace(

@@ -24,8 +24,7 @@ from evroute.metaheuristics import (HISTORY_CSV_COLUMNS, DecodeFailure,
                                     write_history_csv)
 from evroute.model import (CHARGE_EPS, PENALTY_BASE, PlanArrays, RouteSolution,
                            _objectives, _soc_scan, evaluate,
-                           path_structure_error, penalized_fitness,
-                           try_evaluate)
+                           penalized_fitness, soc_trace, try_evaluate)
 
 
 def station(u, price=0.134, power=50.0, level="L3", wait=1.0, detour=10.0):
@@ -121,7 +120,7 @@ class TestDecode:
             if isinstance(out, DecodeFailure):
                 continue
             decoded += 1
-            assert path_structure_error(inst, out.path) is None
+            soc_trace(inst, out)  # raises ValueError on a structural violation
             assert all(0.0 <= y <= 1.0 for y in out.charge_plan.values())
             assert set(out.charge_plan) == set(out.path)
         assert decoded > 0
@@ -468,6 +467,8 @@ class TestConfigs:
             SearchConfig(population=0)
         with pytest.raises(ValueError, match="epochs"):
             SearchConfig(epochs=-1)
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(seed=-1)
         assert SearchConfig(population=1, epochs=0).epochs == 0
 
 
