@@ -18,8 +18,8 @@ from .metaheuristics import (DecodeFailure, RunHistory, SearchConfig,
                              diversity_metrics, encoding_dim, fitness, run_ga,
                              run_pso, write_history_csv)
 from .model import (ConstraintReport, InfeasibleRouteError, Objectives,
-                    RouteSolution, SocTrace, check_feasible, driven_km,
-                    evaluate, penalized_fitness, soc_trace, try_evaluate)
+                    RouteSolution, check_feasible, driven_km,
+                    evaluate, penalized_fitness, try_evaluate)
 from .pareto import (FrontComparison, FrontCsvError, FrontPoint, ParetoFront,
                      dominates, filter_nondominated, front_compare,
                      point_classes, read_front_csv, write_front_csv)

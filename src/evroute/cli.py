@@ -17,7 +17,6 @@ import argparse
 import csv
 import functools
 import hashlib
-import json
 import os
 import shlex
 import sys
@@ -321,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
-    except (InstanceFormatError, FrontCsvError, json.JSONDecodeError) as exc:
+    except (InstanceFormatError, FrontCsvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

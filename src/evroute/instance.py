@@ -312,12 +312,21 @@ def validate(instance: Instance) -> list[str]:
     if errs:
         return errs
     # No trip drives more than every edge and detour plus the longest
-    # source and destination legs.
-    km = (sum(g.edges.values()) + sum(st.detour_km for st in instance.stations.values())
+    # source and destination legs, nor stops at more than every station,
+    # each buying a full battery.
+    stations = instance.stations.values()
+    km = (sum(g.edges.values()) + sum(st.detour_km for st in stations)
           + max(g.source_dist.values()) + max(g.dest_dist.values()))
-    if not km / p.speed_kmh < math.inf:
+    drive_h = km / p.speed_kmh
+    if not drive_h < math.inf:
         errs.append(f"params.speed_v = {p.speed_kmh} gives an infinite time for the "
                     f"{km} km of edges, detours and end legs")
+    elif not drive_h + sum(st.wait_h + p.capacity_kwh / st.power_kw
+                           for st in stations) < math.inf:
+        errs.append("station wait_h and params.capacity_C / power_kw give an "
+                    "infinite charging time")
+    if not sum(p.capacity_kwh * st.price for st in stations) < math.inf:
+        errs.append("params.capacity_C * station price gives an infinite charging cost")
     if not _reachable(g.levels, g.edges) & set(g.last_layer):
         errs.append("no S->D path exists in the graph")
     return errs

@@ -136,8 +136,7 @@ class PopulationFitness:
     magnitudes. A non-finite entry raises ValueError.
     """
 
-    def __init__(self, instance: Instance,
-                 weights: tuple[float, float] = (0.5, 0.5)):
+    def __init__(self, instance: Instance, weights: tuple[float, float]):
         self.weights = model.check_weights(weights)
         self.arrays = model.PlanArrays(instance)
         g = instance.graph
@@ -186,7 +185,7 @@ class PopulationFitness:
 
 
 def fitness(instance: Instance, vector: Sequence[float],
-            weights: tuple[float, float] = (0.5, 0.5)) -> float:
+            weights: tuple[float, float]) -> float:
     """Scalar fitness of one encoding vector (lower is better).
 
     Decodable candidates get model.penalized_fitness of their decoded plan;
@@ -342,8 +341,8 @@ def _ahead(draw, count: int):
         thread.join()
 
 
-def run_ga(instance: Instance, cfg: SearchConfig = SearchConfig(),
-           weights: tuple[float, float] = (0.5, 0.5)) -> SearchResult:
+def run_ga(instance: Instance, cfg: SearchConfig,
+           weights: tuple[float, float]) -> SearchResult:
     """Elitist genetic algorithm on the route encoding.
 
     Per epoch: size-2 tournament selection, uniform crossover on parent
@@ -394,8 +393,8 @@ def run_ga(instance: Instance, cfg: SearchConfig = SearchConfig(),
     return _result(instance, pop[0], fits[0], rec)
 
 
-def run_pso(instance: Instance, cfg: SearchConfig = SearchConfig(),
-            weights: tuple[float, float] = (0.5, 0.5)) -> SearchResult:
+def run_pso(instance: Instance, cfg: SearchConfig,
+            weights: tuple[float, float]) -> SearchResult:
     """Global-best particle swarm on the route encoding.
 
     Velocities start at zero and are clamped to +/-VELOCITY_LIMIT,

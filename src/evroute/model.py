@@ -1,5 +1,6 @@
-"""Route evaluation: state-of-charge recursion, trip time and charging cost,
-feasibility checking, and the scalarized fitness used by the metaheuristics.
+"""Route evaluation: check_feasible, the one constraint audit (path rules,
+charge bounds and the state-of-charge recursion), trip time and charging cost
+of the plans it accepts, and the scalarized fitness of the metaheuristics.
 PlanArrays runs the same recursion and objectives over a batch of plans as
 array operations, for the GA/PSO population kernel and the grid oracle.
 
@@ -32,14 +33,20 @@ SOLVER_SOC_SLACK = 1e-9
 PENALTY_BASE = 1e9
 
 
-class InfeasibleRouteError(ValueError):
-    """Raised by evaluate() when the plan runs the battery out of bounds."""
+@dataclass(frozen=True)
+class Violation:
+    constraint: str  # "c3".."c19" or "source-reachability"
+    magnitude: float
+    detail: str
 
-    def __init__(self, violation: "SocViolation", trace: "SocTrace"):
+
+class InfeasibleRouteError(ValueError):
+    """Raised by evaluate() on a solution that check_feasible rejects;
+    violation is the report's first."""
+
+    def __init__(self, violation: Violation):
         self.violation = violation
-        self.trace = trace
-        where = "destination leg" if violation.node is None else f"node {violation.node}"
-        super().__init__(f"{violation.kind} violation at {where} "
+        super().__init__(f"{violation.constraint} violation: {violation.detail} "
                          f"(magnitude {violation.magnitude:.6g})")
 
 
@@ -61,36 +68,16 @@ class Objectives:
 
 
 @dataclass(frozen=True)
-class SocViolation:
-    kind: str  # source-reachability | arrival | overcharge | departure | final-soc
-    node: int | None  # None means the final leg into D
-    magnitude: float
-
-
-@dataclass(frozen=True)
-class SocTrace:
-    """Departure SOC per path node plus the SOC left on arriving at D.
-
-    When feasible is False, q and beta still hold the values the recursion
-    produces, and violation names the first place a bound broke.
-    """
-
-    q: dict[int, float]
-    beta: float
-    feasible: bool
-    violation: SocViolation | None
-
-
-@dataclass(frozen=True)
-class Violation:
-    constraint: str  # "c3".."c19" or "source-reachability"
-    magnitude: float
-    detail: str
-
-
-@dataclass(frozen=True)
 class ConstraintReport:
+    """Every violated constraint in check_feasible's order, and the SOC
+    trace: q maps each path node to its departure SOC and beta is the SOC
+    left on arriving at D. The trace is computed in full even when a bound
+    breaks; on a structurally broken path it cannot run, so q is {} and
+    beta None."""
+
     violations: tuple[Violation, ...]
+    q: dict[int, float]
+    beta: float | None
 
     @property
     def feasible(self) -> bool:
@@ -162,14 +149,15 @@ def _soc_scan(instance: Instance, path: tuple[int, ...],
     """Run the SOC recursion along a structurally valid path.
 
     Returns (q, beta, violations) where q maps each path node to its
-    departure SOC and violations lists every bound break in path order.
+    departure SOC and violations lists every bound break in path order:
+    source-reachability or c11 on arrival, c14 on departure, c15 at D.
     """
     g = instance.graph
     stations = instance.stations
     r = instance.range_km
     soc = instance.params.initial_soc
     q: dict[int, float] = {}
-    viols: list[SocViolation] = []
+    viols: list[Violation] = []
     prev = None
     for u in path:
         y_raw = plan.get(u, 0.0)
@@ -178,38 +166,21 @@ def _soc_scan(instance: Instance, path: tuple[int, ...],
         leg = g.source_dist[u] if prev is None else g.edges[(prev, u)]
         arrival = soc - (detour + leg) / r
         if arrival < -SOC_TOL:
-            kind = "source-reachability" if prev is None else "arrival"
-            viols.append(SocViolation(kind, u, -arrival))
+            code, kind = ("source-reachability",) * 2 if prev is None else ("c11", "arrival")
+            viols.append(Violation(code, -arrival, f"{kind} at node {u}"))
         soc = arrival + y
         if soc > 1.0 + SOC_TOL:
-            viols.append(SocViolation("overcharge", u, soc - 1.0))
+            viols.append(Violation("c14", soc - 1.0, f"overcharge at node {u}"))
         elif soc < -SOC_TOL:
-            viols.append(SocViolation("departure", u, -soc))
+            viols.append(Violation("c14", -soc, f"departure at node {u}"))
         q[u] = soc
         prev = u
     beta = soc - g.dest_dist[path[-1]] / r
     if beta < -SOC_TOL:
-        viols.append(SocViolation("final-soc", None, -beta))
+        viols.append(Violation("c15", -beta, "final-soc at destination leg"))
     elif beta > 1.0 + SOC_TOL:
-        viols.append(SocViolation("final-soc", None, beta - 1.0))
+        viols.append(Violation("c15", beta - 1.0, "final-soc at destination leg"))
     return q, beta, viols
-
-
-def soc_trace(instance: Instance, solution: RouteSolution) -> SocTrace:
-    """SOC recursion along the path.
-
-    Requires a path that breaks none of check_feasible's structural
-    constraints (raises ValueError with the first one's detail otherwise).
-    The trace is always fully computed; feasibility reflects whether arrival
-    SOC stayed >= -SOC_TOL everywhere, departure SOC within [0 - tol,
-    1 + tol], and the destination is reached with beta >= -SOC_TOL.
-    """
-    problems = _path_violations(instance, solution.path)
-    if problems:
-        raise ValueError(problems[0].detail)
-    q, beta, viols = _soc_scan(instance, solution.path, solution.charge_plan)
-    return SocTrace(q=q, beta=beta, feasible=not viols,
-                    violation=viols[0] if viols else None)
 
 
 def driven_km(instance: Instance, solution: RouteSolution) -> float:
@@ -243,21 +214,19 @@ def _objectives(instance: Instance, solution: RouteSolution) -> Objectives:
 def evaluate(instance: Instance, solution: RouteSolution) -> Objectives:
     """Trip time (hours) and charging cost of a feasible solution.
 
-    Raises InfeasibleRouteError when the SOC recursion breaks a bound and
-    ValueError when the path itself is malformed.
+    Raises InfeasibleRouteError with check_feasible's first violation when
+    the solution breaks any constraint, the path's structure included.
     """
-    tr = soc_trace(instance, solution)
-    if not tr.feasible:
-        raise InfeasibleRouteError(tr.violation, tr)
+    report = check_feasible(instance, solution)
+    if not report.feasible:
+        raise InfeasibleRouteError(report.violations[0])
     return _objectives(instance, solution)
 
 
 def try_evaluate(instance: Instance, solution: RouteSolution) -> Objectives | None:
-    """evaluate() variant returning None on SOC-infeasible plans."""
-    tr = soc_trace(instance, solution)
-    if not tr.feasible:
-        return None
-    return _objectives(instance, solution)
+    """evaluate(), or None where it would raise."""
+    feasible = check_feasible(instance, solution).feasible
+    return _objectives(instance, solution) if feasible else None
 
 
 class PlanArrays:
@@ -342,42 +311,30 @@ class PlanArrays:
         return penalty, time, cost
 
 
-_SOC_KIND_TO_CONSTRAINT = {
-    "source-reachability": "source-reachability",
-    "arrival": "c11",
-    "overcharge": "c14",
-    "departure": "c14",
-    "final-soc": "c15",
-}
-
-
 def check_feasible(instance: Instance, solution: RouteSolution) -> ConstraintReport:
-    """Full constraint audit of an arbitrary solution record.
+    """Full constraint audit of an arbitrary solution record, the one
+    verdict that evaluate() and try_evaluate() act on.
 
     Reconstructs the travel indicators (edge uses, source/destination
     attachment, charging flags) from the path and charge plan and grades
-    every violated constraint with a magnitude. Binary domains that the
-    record cannot express differently (w_S, w_D, z) hold by construction;
-    duplicate edge uses surface as c19. Never raises.
+    every violated constraint with a magnitude: c13 over the whole plan,
+    then the path's structure, then the SOC recursion when the structure
+    holds. Binary domains that the record cannot express differently (w_S,
+    w_D, z) hold by construction; duplicate edge uses surface as c19.
+    Never raises.
     """
-    path = solution.path
     viols: list[Violation] = []
-
     for u, y in sorted(solution.charge_plan.items()):
         if y < -SOC_TOL:
             viols.append(Violation("c13", -float(y), f"y[{u}] = {y} below 0"))
         elif y > 1.0 + SOC_TOL:
             viols.append(Violation("c13", float(y) - 1.0, f"y[{u}] = {y} above 1"))
 
-    structure = _path_violations(instance, path)
-    viols += structure
-    if not structure:
-        _, _, soc_viols = _soc_scan(instance, path, solution.charge_plan)
-        for sv in soc_viols:
-            where = "destination leg" if sv.node is None else f"node {sv.node}"
-            viols.append(Violation(_SOC_KIND_TO_CONSTRAINT[sv.kind],
-                                   sv.magnitude, f"{sv.kind} at {where}"))
-    return ConstraintReport(tuple(viols))
+    structure = _path_violations(instance, solution.path)
+    if structure:
+        return ConstraintReport(tuple(viols + structure), {}, None)
+    q, beta, soc_viols = _soc_scan(instance, solution.path, solution.charge_plan)
+    return ConstraintReport(tuple(viols + soc_viols), q, beta)
 
 
 def check_weights(weights: tuple[float, float]) -> tuple[float, float]:
@@ -390,7 +347,7 @@ def check_weights(weights: tuple[float, float]) -> tuple[float, float]:
 
 
 def penalized_fitness(instance: Instance, solution: RouteSolution,
-                      weights: tuple[float, float] = (0.5, 0.5)) -> float:
+                      weights: tuple[float, float]) -> float:
     """Weighted scalarization with a graded infeasibility penalty.
 
     Feasible: weights[0] * time_h + weights[1] * cost. Infeasible:

@@ -22,7 +22,7 @@ from evroute.exact import epsilon_constraint, grid_oracle, min_cost, min_time, w
 from evroute.instance import generate_instance
 from evroute.metaheuristics import SearchConfig, run_ga, run_pso
 from evroute.model import (CHARGE_EPS, PENALTY_BASE, RouteSolution, active_charges,
-                           check_feasible, driven_km, soc_trace)
+                           check_feasible, driven_km)
 from evroute.pareto import FrontPoint, dominates, point_classes, write_front_csv
 
 from reference_checker import reference_verdict
@@ -169,10 +169,11 @@ def test_energy_conservation_on_feasible_solutions():
         rng = np.random.default_rng(4_000 + seed)
         candidates += [_random_solution(inst, rng) for _ in range(20_000)]
         for sol in candidates:
-            if not check_feasible(inst, sol).feasible:
+            report = check_feasible(inst, sol)
+            if not report.feasible:
                 continue
             bought = sum(active_charges(inst, sol).values())
-            residual = (soc_trace(inst, sol).beta * cg + driven_km(inst, sol)
+            residual = (report.beta * cg + driven_km(inst, sol)
                         - (alpha + bought) * cg)
             assert abs(residual) <= 1e-6 * cg, (preset, seed, sol, residual)
             checked += 1

@@ -317,6 +317,21 @@ class TestSolve:
         assert _solve_doc(doc, fuzz_dir[1]) == EXIT_VALIDATION
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params,station,match", [
+        pytest.param({}, {"power_kw": 1e-310}, "infinite charging time",
+                     id="infinite-charge-time"),
+        pytest.param({"capacity_C": 1e300, "mileage_gamma": 1e-297}, {"price": 1e10},
+                     "infinite charging cost", id="infinite-charge-cost"),
+    ])
+    def test_overflowing_charge_exits_3(self, capsys, tmp_path, params, station, match):
+        save(generate_instance(PRESETS["instance1"], seed=108), tmp_path / "base.json")
+        doc = json.loads((tmp_path / "base.json").read_text())
+        doc["params"].update(params)
+        for record in doc["stations"]:
+            record.update(station)
+        assert _solve_doc(doc, tmp_path) == EXIT_VALIDATION
+        assert match in capsys.readouterr().err
+
     def test_skip_layer_edge_exits_3(self, capsys, fuzz_dir):
         doc = _add_skip_layer_edge(copy.deepcopy(fuzz_dir[0]))
         assert _solve_doc(doc, fuzz_dir[1]) == EXIT_VALIDATION

@@ -593,10 +593,10 @@ class TestOracleSandwich:
         inst = final_leg_line()
         front, steps = traced_oracle(inst, 30)
         assert all(n == a for _, n, a in steps)
-        kinds = set()
+        codes = set()
         for y in [0.0] + [m / 30 for m in range(1, 31)]:
-            kinds |= {v.kind for v in _soc_scan(inst, (1,), {1: y})[2]}
-        assert kinds == {"final-soc"}
+            codes |= {v.constraint for v in _soc_scan(inst, (1,), {1: y})[2]}
+        assert codes == {"c15"}
         assert [repr(p) for p in front] == [repr(p) for p in reference_oracle(inst, 30)]
 
     def test_every_row_dies_before_the_last_layer(self):

@@ -23,8 +23,8 @@ from evroute.metaheuristics import (HISTORY_CSV_COLUMNS, DecodeFailure,
                                     encoding_dim, fitness, run_ga, run_pso,
                                     write_history_csv)
 from evroute.model import (CHARGE_EPS, PENALTY_BASE, PlanArrays, RouteSolution,
-                           _objectives, _soc_scan, evaluate,
-                           penalized_fitness, soc_trace, try_evaluate)
+                           _objectives, _soc_scan, check_feasible, evaluate,
+                           penalized_fitness, try_evaluate)
 
 
 def station(u, price=0.134, power=50.0, level="L3", wait=1.0, detour=10.0):
@@ -120,7 +120,8 @@ class TestDecode:
             if isinstance(out, DecodeFailure):
                 continue
             decoded += 1
-            soc_trace(inst, out)  # raises ValueError on a structural violation
+            # the SOC trace runs only along a structurally valid path
+            assert check_feasible(inst, out).beta is not None
             assert all(0.0 <= y <= 1.0 for y in out.charge_plan.values())
             assert set(out.charge_plan) == set(out.path)
         assert decoded > 0

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evroute.instance import Instance, RouteGraph, Station, VehicleParams
-from evroute.model import (CHARGE_EPS, SOC_TOL, InfeasibleRouteError,
-                           Objectives, RouteSolution, check_feasible,
-                           driven_km, evaluate, penalized_fitness, soc_trace,
-                           try_evaluate)
+from evroute.cli import PRESETS
+from evroute.exact import min_time
+from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
+                              generate_instance)
+from evroute.model import (CHARGE_EPS, InfeasibleRouteError, RouteSolution,
+                           Violation, check_feasible, driven_km, evaluate,
+                           penalized_fitness, try_evaluate)
 
 
 def station(u, price=0.134, wait=1.0, detour=10.0, level="L3", power=50.0):
@@ -42,72 +44,77 @@ def diamond_instance():
 
 
 class TestSocTrace:
+    """The SOC trace and SOC violations of check_feasible's report."""
+
     def test_exact_range_boundary(self):
         inst = line_instance(d_s=300.0, d_d=300.0)
-        tr = soc_trace(inst, RouteSolution(path=(1,), charge_plan={}))
-        assert tr.q[1] == pytest.approx(0.5, abs=1e-12)
-        assert tr.beta == pytest.approx(0.0, abs=1e-12)
-        assert tr.feasible
-        assert tr.violation is None
+        report = check_feasible(inst, RouteSolution(path=(1,), charge_plan={}))
+        assert report.q[1] == pytest.approx(0.5, abs=1e-12)
+        assert report.beta == pytest.approx(0.0, abs=1e-12)
+        assert report.feasible
+        assert report.violations == ()
 
     def test_source_leg_beyond_range(self):
         inst = line_instance(d_s=700.0, d_d=300.0)
-        tr = soc_trace(inst, RouteSolution(path=(1,), charge_plan={}))
-        assert not tr.feasible
-        assert tr.violation.kind == "source-reachability"
-        assert tr.violation.node == 1
-        assert tr.violation.magnitude == pytest.approx(700 / 600 - 1, abs=1e-12)
+        report = check_feasible(inst, RouteSolution(path=(1,), charge_plan={}))
+        assert not report.feasible
+        v = report.violations[0]
+        assert (v.constraint, v.detail) == ("source-reachability",
+                                            "source-reachability at node 1")
+        assert v.magnitude == pytest.approx(700 / 600 - 1, abs=1e-12)
         # the trace itself is still fully computed
-        assert tr.q[1] == pytest.approx(1 - 700 / 600, abs=1e-12)
+        assert report.q[1] == pytest.approx(1 - 700 / 600, abs=1e-12)
 
     def test_hand_recursion_two_nodes(self):
         # y at the second node cannot rescue the arrival there: the detour
         # and leg drain the battery before charging happens
         inst = line_instance(d_s=300.0, legs=(300.0,), d_d=300.0)
         sol = RouteSolution(path=(1, 2), charge_plan={2: 0.6})
-        tr = soc_trace(inst, sol)
-        assert tr.q[1] == pytest.approx(0.5, abs=1e-12)
-        assert tr.q[2] == pytest.approx(0.5 + 0.6 - 310 / 600, abs=1e-9)
-        assert tr.q[2] == pytest.approx(0.58333333, abs=1e-6)
-        assert tr.beta == pytest.approx(tr.q[2] - 0.5, abs=1e-12)
-        assert tr.beta == pytest.approx(0.08333333, abs=1e-6)
-        assert not tr.feasible
-        assert tr.violation.kind == "arrival"
-        assert tr.violation.node == 2
-        assert tr.violation.magnitude == pytest.approx(1 / 60, abs=1e-9)
+        report = check_feasible(inst, sol)
+        assert report.q[1] == pytest.approx(0.5, abs=1e-12)
+        assert report.q[2] == pytest.approx(0.5 + 0.6 - 310 / 600, abs=1e-9)
+        assert report.q[2] == pytest.approx(0.58333333, abs=1e-6)
+        assert report.beta == pytest.approx(report.q[2] - 0.5, abs=1e-12)
+        assert report.beta == pytest.approx(0.08333333, abs=1e-6)
+        v = report.violations[0]
+        assert (v.constraint, v.detail) == ("c11", "arrival at node 2")
+        assert v.magnitude == pytest.approx(1 / 60, abs=1e-9)
 
     def test_charging_rescues_later_leg(self):
         # same trip shape, but charging at node 1 (detour 10) up front
         inst = line_instance(d_s=300.0, legs=(300.0,), d_d=200.0)
         sol = RouteSolution(path=(1, 2), charge_plan={1: 0.4})
-        tr = soc_trace(inst, sol)
-        assert tr.feasible
-        assert tr.q[1] == pytest.approx(1 - 310 / 600 + 0.4, abs=1e-12)
-        assert tr.q[2] == pytest.approx(tr.q[1] - 0.5, abs=1e-12)
-        assert tr.beta == pytest.approx(tr.q[2] - 200 / 600, abs=1e-12)
+        report = check_feasible(inst, sol)
+        assert report.feasible
+        assert report.q[1] == pytest.approx(1 - 310 / 600 + 0.4, abs=1e-12)
+        assert report.q[2] == pytest.approx(report.q[1] - 0.5, abs=1e-12)
+        assert report.beta == pytest.approx(report.q[2] - 200 / 600, abs=1e-12)
 
     def test_overcharge_detected(self):
         inst = line_instance(d_s=300.0, d_d=300.0)
-        tr = soc_trace(inst, RouteSolution(path=(1,), charge_plan={1: 0.7}))
-        assert not tr.feasible
-        assert tr.violation.kind == "overcharge"
+        report = check_feasible(inst, RouteSolution(path=(1,), charge_plan={1: 0.7}))
+        v = report.violations[0]
+        assert (v.constraint, v.detail) == ("c14", "overcharge at node 1")
         # arrival 1 - 310/600, so SOC tops out 0.7 - 310/600 above full
-        assert tr.violation.magnitude == pytest.approx(0.7 - 310 / 600, abs=1e-9)
+        assert v.magnitude == pytest.approx(0.7 - 310 / 600, abs=1e-9)
 
     def test_tiny_charge_is_transit(self):
         inst = line_instance(d_s=300.0, d_d=300.0)
-        a = soc_trace(inst, RouteSolution((1,), {1: CHARGE_EPS / 2}))
-        b = soc_trace(inst, RouteSolution((1,), {}))
+        a = check_feasible(inst, RouteSolution((1,), {1: CHARGE_EPS / 2}))
+        b = check_feasible(inst, RouteSolution((1,), {}))
         assert a == b
 
     def test_structural_error_raises(self):
+        # a structurally broken path has no trace, and evaluate names the break
         inst = diamond_instance()
-        with pytest.raises(ValueError, match="does not exist"):
-            soc_trace(inst, RouteSolution(path=(1, 4), charge_plan={}))
-        with pytest.raises(ValueError, match="layer 0"):
-            soc_trace(inst, RouteSolution(path=(2, 4), charge_plan={}))
-        with pytest.raises(ValueError, match="empty"):
-            soc_trace(inst, RouteSolution(path=(), charge_plan={}))
+        for path, match in [((1, 4), "does not exist"), ((2, 4), "layer 0"),
+                            ((), "empty")]:
+            sol = RouteSolution(path=path, charge_plan={})
+            report = check_feasible(inst, sol)
+            assert (report.q, report.beta) == ({}, None)
+            with pytest.raises(InfeasibleRouteError, match=match):
+                evaluate(inst, sol)
+            assert try_evaluate(inst, sol) is None
 
 
 class TestEvaluate:
@@ -142,6 +149,16 @@ class TestEvaluate:
             evaluate(inst, RouteSolution((1,), {}))
         assert try_evaluate(inst, RouteSolution((1,), {})) is None
 
+    def test_off_path_charge_bound_enforced(self):
+        # instance1/108's min_time plan plus an entry off its path (0, 4)
+        inst = generate_instance(PRESETS["instance1"], seed=108)
+        plan = min_time(inst).solution
+        sol = RouteSolution(plan.path, {**plan.charge_plan, 1: 5.0})
+        with pytest.raises(InfeasibleRouteError) as info:
+            evaluate(inst, sol)
+        assert info.value.violation == Violation("c13", 4.0, "y[1] = 5.0 above 1")
+        assert try_evaluate(inst, sol) is None
+
     def test_pure_function(self):
         inst = line_instance(d_s=300.0, d_d=300.0)
         sol = RouteSolution((1,), {1: 0.3})
@@ -161,12 +178,12 @@ class TestEvaluate:
     def test_energy_bookkeeping_closes(self, y1, y2, d_s, leg, d_d):
         inst = line_instance(d_s=d_s, legs=(leg,), d_d=d_d)
         sol = RouteSolution((1, 2), {1: y1, 2: y2})
-        tr = soc_trace(inst, sol)
-        if not tr.feasible:
+        report = check_feasible(inst, sol)
+        if not report.feasible:
             return
         cg = inst.params.capacity_kwh * inst.params.km_per_kwh
         active = sum(y for y in (y1, y2) if y > CHARGE_EPS)
-        lhs = tr.beta * cg + driven_km(inst, sol)
+        lhs = report.beta * cg + driven_km(inst, sol)
         rhs = (inst.params.initial_soc + active) * cg
         assert abs(lhs - rhs) <= 1e-6 * cg
 
@@ -250,25 +267,23 @@ class TestCheckFeasible:
         report = check_feasible(inst, RouteSolution((1,), {1: 0.5}))
         assert any(v.constraint == "c15" for v in report.violations)
 
-    @settings(max_examples=60, deadline=None)
-    @given(path=st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=5),
-           y=st.dictionaries(st.sampled_from([1, 2, 3, 4]),
-                             st.floats(-0.5, 1.5), max_size=4))
-    def test_agrees_with_soc_trace_on_valid_paths(self, path, y):
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.lists(st.sampled_from([1, 2, 3, 4, 5]), max_size=5),
+           y=st.dictionaries(st.sampled_from([1, 2, 3, 4, 5]),
+                             st.floats(-0.5, 1.5), max_size=5))
+    def test_evaluate_acts_on_its_verdict(self, path, y):
+        # any path over the diamond, node 5 unknown, off-path entries included
         inst = diamond_instance()
         sol = RouteSolution(tuple(path), y)
         report = check_feasible(inst, sol)
-        bound_ok = all(-SOC_TOL <= v <= 1 + SOC_TOL for v in y.values())
-        try:
-            tr = soc_trace(inst, sol)
-        except ValueError:
-            assert not report.feasible
+        assert (try_evaluate(inst, sol) is None) == (not report.feasible)
+        if report.feasible:
+            assert evaluate(inst, sol) == try_evaluate(inst, sol)
             return
-        soc_ids = {"c11", "c14", "c15", "source-reachability"}
-        has_soc_violation = any(v.constraint in soc_ids for v in report.violations)
-        assert tr.feasible == (not has_soc_violation)
-        if bound_ok:
-            assert report.feasible == tr.feasible
+        with pytest.raises(InfeasibleRouteError) as info:
+            evaluate(inst, sol)
+        assert info.value.violation == report.violations[0]
+        assert report.violations[0].detail in str(info.value)
 
 
 class TestPenalizedFitness:
