@@ -6,13 +6,20 @@ solves exactly. A cost cap makes it parametric in the weight between time
 and cost: a walk over the weights at which two stops swap price order
 gives each subset's (time, cost) front, and the least time within the cap
 is the first point of that front whose cost meets it.
-Global optima come from one scan over every path's stop subsets, and the
-budget-sweep front sampler builds on that; HiGHS, through
-`lp.solve_lp`, is the test reference. The brute-force grid oracle instead
-grows one charge mesh per path, station by station, through
-model.PlanArrays' SOC step; a zero charge drives past the station, so the
-mesh also covers every stop subset. Each charge vector is dropped at its
-first bound violation, which is never undone.
+
+Global optima come from one scan over a table of every path's feasible
+stop subsets, built for all paths at once with array operations, and the
+budget-sweep front sampler builds on that; HiGHS, through `lp.solve_lp`,
+is the test reference. The table holds each subset's least time and least
+cost, one greedy each, which bound every solve of the scan; the scalar
+greedy solves the subsets the scan cannot skip. Float sums run left to
+right, so no result depends on the Python version.
+
+The brute-force grid oracle instead grows one charge mesh per path,
+station by station, through model.PlanArrays' SOC step; a zero charge
+drives past the station, so the mesh also covers every stop subset. Each
+charge vector is dropped at its first bound violation, which is never
+undone.
 
 min_time/min_cost and every budget round are exact lexicographic optima
 with no slack: one scan keeps the best (primary, other objective) pair, so
@@ -90,105 +97,143 @@ def enumerate_paths(graph: RouteGraph) -> list[tuple[int, ...]]:
     return paths
 
 
-class _PathData:
-    """Per-path constants, and per stop subset the data that every charge
-    solve of one exact solve shares."""
+class _SubsetTable:
+    """Every stop subset that can make its path feasible, over a list of
+    paths at once, and the data that every charge solve of one exact solve
+    shares.
 
-    __slots__ = ("path", "k", "legs", "d_dest", "delta", "stop_time",
-                 "price_coef", "time_coef", "drive_time", "r", "alpha",
-                 "subsets", "fronts")
+    Entry i takes path paths[path[i]] with stops at its m[i] positions
+    stops[i, :m[i]]; entries run path by path, then by number of stops,
+    then lexicographically in the stops. t0 is the trip time without
+    charging time; lo[i, t] <= Y[t] <= hi[i, t] bound the battery fraction
+    Y[t] bought up to the t-th stop. time_lb and cost_lb are the least time
+    and the least cost, each by one greedy. Columns from m[i] on are
+    padding, except that lo[i, 0] of an empty subset holds the battery
+    fraction its trip needs beyond the initial SOC.
 
-    def __init__(self, instance: Instance, path: tuple[int, ...]):
-        g = instance.graph
+    legs holds each path's km, leg 0 leaving S and leg k entering D, and
+    blocked the first leg that a full battery at every station cannot
+    cross, or -1. No stop subset can make a path with such a leg feasible,
+    so it has no entry.
+    """
+
+    def __init__(self, instance: Instance, paths: list[tuple[int, ...]]):
+        arrays = model.PlanArrays(instance)
         p = instance.params
-        self.path = path
-        self.k = len(path)
-        self.legs = [g.source_dist[path[0]]]
-        self.legs += [g.edges[(path[i - 1], path[i])] for i in range(1, self.k)]
-        self.d_dest = g.dest_dist[path[-1]]
-        stations = [instance.stations[u] for u in path]
-        self.delta = [s.detour_km for s in stations]
-        self.stop_time = [s.detour_km / p.speed_kmh + s.wait_h for s in stations]
-        self.price_coef = [p.capacity_kwh * s.price for s in stations]
-        self.time_coef = [p.capacity_kwh / s.power_kw for s in stations]
-        self.drive_time = (sum(self.legs) + self.d_dest) / p.speed_kmh
-        self.r = p.range_km
-        self.alpha = p.initial_soc
-        self.subsets = [] if self.blocked_leg() is not None else self._subsets()
-        self.fronts: dict[tuple[int, ...], list] = {}
-
-    def blocked_leg(self) -> int | None:
-        """Index of the first leg (0 leaves S, k enters D) that a full
-        battery at every station cannot cross, or None. No stop subset can
-        make a path with such a leg feasible."""
-        full = [self.alpha] + [1.0] * self.k
-        return next((j for j, d in enumerate(self.legs + [self.d_dest])
-                     if d > full[j] * self.r + SOLVER_SOC_SLACK * self.r), None)
-
-    def _subsets(self) -> list[tuple]:
-        """(time_lb, cost_lb, z, t0, lo, hi) for every stop subset z that
-        can make the path feasible, by size and then lexicographically.
-
-        t0 is the trip time without charging time; lo[t] <= Y[t] <= hi[t]
-        bound the battery fraction Y[t] bought up to the t-th stop of z;
-        time_lb and cost_lb are the subset's least time and least cost.
-        """
-        k, r, alpha = self.k, self.r, self.alpha
-        found = []
+        r, alpha = p.range_km, p.initial_soc
+        # Every S->D path visits one station per layer.
+        k = len(instance.graph.levels)
+        # Station positions, stop positions and price ranks in the fewest
+        # bytes, so the (entries, k) arrays stay small.
+        small = np.min_scalar_type(max(arrays.n, k))
+        self.paths = paths
+        self._nodes = nodes = np.array([[arrays.pos[u] for u in path] for path in paths],
+                                       dtype=small).reshape(-1, k)
+        legs = np.empty((len(paths), k + 1))
+        legs[:, 0] = arrays.src_km[nodes[:, 0]]
+        legs[:, 1:k] = arrays.edge_km[nodes[:, :-1], nodes[:, 1:]]
+        legs[:, k] = arrays.dst_km[nodes[:, -1]]
+        self.legs = legs
+        full = np.ones(k + 1)
+        full[0] = alpha
+        over = legs > full * r + SOLVER_SOC_SLACK * r
+        self.blocked = np.where(over.any(axis=1), over.argmax(axis=1), -1)
+        # Every sum here runs left to right, so the floats do not depend on
+        # the Python version: sum() compensates from 3.12 on.
+        drive = np.zeros(len(paths))
+        for j in range(k):
+            drive = drive + legs[:, j]
+        drive_time = (drive + legs[:, k]) / p.speed_kmh
 
         # Charging to the brim at every chosen stop maximizes every prefix
-        # SOC, so this greedy pass decides subset feasibility; a depth-first
-        # walk shares it between subsets with a common prefix. depl is the
-        # battery used up to a node, its stop detour included.
-        def walk(j: int, acc: float, prev: float, soc: float,
-                 z: tuple[int, ...], depl_z: tuple[float, ...]) -> None:
-            if j == k:
-                if soc - self.d_dest / r >= -SOLVER_SOC_SLACK:
-                    found.append((z, depl_z, prev))
-                return
-            for stop in (False, True):
-                a = acc + (self.legs[j] + (self.delta[j] if stop else 0.0))
-                depl = a / r
-                left = soc - (depl - prev)
-                if left < -SOLVER_SOC_SLACK:
-                    continue
-                if stop:
-                    walk(j + 1, a, depl, 1.0, z + (j,), depl_z + (depl,))
-                else:
-                    walk(j + 1, a, depl, left, z, depl_z)
+        # SOC, so this greedy pass decides subset feasibility. Rows grow one
+        # station at a time, each into a stop row and then a drive-past row,
+        # and a row is dropped at its first battery break. depl is the
+        # battery used up to a station, its stop detour included, and
+        # depl_z holds it at each stop.
+        path = np.flatnonzero(self.blocked < 0)
+        n = len(path)
+        acc, prev, soc = np.zeros(n), np.zeros(n), np.full(n, alpha)
+        m = np.zeros(n, dtype=np.intp)
+        stops = np.zeros((n, k), dtype=small)
+        depl_z = np.zeros((n, k))
+        for j in range(k):
+            leg = legs[path, j]
+            a = np.stack([acc + (leg + arrays.detour[nodes[path, j]]), acc + leg], axis=1).ravel()
+            depl = a / r
+            left = np.repeat(soc, 2) - (depl - np.repeat(prev, 2))
+            keep = np.flatnonzero(left >= -SOLVER_SOC_SLACK)
+            parent, stop = keep // 2, keep % 2 == 0
+            path, m, stops, depl_z = path[parent], m[parent], stops[parent], depl_z[parent]
+            acc, prev = a[keep], depl[keep]
+            soc = np.where(stop, 1.0, left[keep])
+            at = np.flatnonzero(stop)
+            stops[at, m[at]] = j
+            depl_z[at, m[at]] = prev[at]
+            m[at] += 1
+        # Within a path the rows run in decreasing order of their stop
+        # flags, which among equal stop counts is increasing lexicographic
+        # order of the stops.
+        ok = np.flatnonzero(soc - legs[path, k] / r >= -SOLVER_SOC_SLACK)
+        order = ok[np.argsort((path * (k + 1) + m)[ok], kind="stable")]
+        path, m, stops, depl_z, depl_end = path[order], m[order], stops[order], \
+            depl_z[order], prev[order]
+        self.path, self.m, self.stops = path, m, stops
 
-        walk(0, 0.0, 0.0, alpha, (), ())
-        found.sort(key=lambda f: (len(f[0]), f[0]))
-        out = []
-        for z, depl_z, depl_end in found:
-            t0 = self.drive_time + sum(self.stop_time[j] for j in z)
-            need = max(0.0, depl_end + self.d_dest / r - alpha)
-            # Arriving at the next stop (or D) must not run below empty;
-            # leaving a stop must not run above full.
-            lo = [max(0.0, d - alpha) for d in depl_z[1:]] + [need]
-            hi = [1.0 - alpha + d for d in depl_z]
-            # The least time and the least cost, each by one greedy; with
-            # the cap they decide most capped solves without the front.
-            a = [self.time_coef[j] for j in z]
-            b = [self.price_coef[j] for j in z]
-            time_lb = t0 + _dot(a, _greedy(lo, hi, list(zip(a, b))))
-            cost_lb = _dot(b, _greedy(lo, hi, list(zip(b, a))))
-            out.append((time_lb, cost_lb, z, t0, lo, hi))
-        return out
+        node = nodes[path[:, None], stops]
+        stop_time = arrays.detour / p.speed_kmh + arrays.wait
+        total = np.zeros(len(path))
+        for t in range(k):
+            total = np.where(t < m, total + stop_time[node[:, t]], total)
+        self.t0 = drive_time[path] + total
+        # Arriving at the next stop (or D) must not run below empty;
+        # leaving a stop must not run above full.
+        need = np.maximum(0.0, depl_end + legs[path, k] / r - alpha)
+        # Not zeros_like: zeroing every column first raises peak RSS at 20
+        # levels by about 40 MB.
+        lo = np.empty_like(depl_z)
+        lo[:, :-1] = np.maximum(0.0, depl_z[:, 1:] - alpha)
+        lo[:, -1] = 0.0
+        lo[np.arange(len(path)), np.maximum(m - 1, 0)] = need
+        self.lo, self.hi = lo, np.add(depl_z, 1.0 - alpha, out=depl_z)
 
-    def front(self, z: tuple[int, ...], lo: list[float], hi: list[float]) -> list:
-        """The subset's (time, cost) Pareto front as vertices (A, B, ys) from
+        # The least time and the least cost, each by one greedy; with the
+        # cap they decide most capped solves without the front.
+        self._coef = coef = (p.capacity_kwh / arrays.power, p.capacity_kwh * arrays.price)
+        bounds = []
+        for x, y in (coef, coef[::-1]):
+            dot = np.zeros(len(path))
+            for t, ys in _greedy_rows(_rank(x, y).astype(small)[node], lo, self.hi, m):
+                dot = dot + x[node[:, t]] * ys
+            bounds.append(dot)
+        self.time_lb, self.cost_lb = self.t0 + bounds[0], bounds[1]
+        self.fronts: dict[int, list] = {}
+
+    def __len__(self) -> int:
+        return len(self.path)
+
+    def entry(self, e: int) -> tuple:
+        """Entry e as (z, t0, lo, hi, a, b) in Python floats: its stops, its
+        bounds, and the time and price coefficient of each stop."""
+        m = self.m[e]
+        z = self.stops[e, :m]
+        node = self._nodes[self.path[e], z]
+        return (tuple(z.tolist()), float(self.t0[e]), self.lo[e, :max(m, 1)].tolist(),
+                self.hi[e, :m].tolist(), self._coef[0][node].tolist(),
+                self._coef[1][node].tolist())
+
+    def front(self, e: int) -> list:
+        """Entry e's (time, cost) Pareto front as vertices (A, B, ys) from
         least charging time A to least cost B, where ys are the charges.
 
         Each vertex is the greedy plan for the stop prices (1 - s) * time
         + s * cost with s between two of the weights at which two stops
         swap price order (a parametric LP, Ehrgott 2005)."""
-        verts = self.fronts.get(z)
+        verts = self.fronts.get(e)
         if verts is not None:
             return verts
-        a = [self.time_coef[j] for j in z]
-        b = [self.price_coef[j] for j in z]
-        m = len(z)
+        _, _, lo, hi, a, b = self.entry(e)
+        m = len(a)
         cuts = sorted({(a[j] - a[i]) / ((a[j] - a[i]) - (b[j] - b[i]))
                        for i in range(m) for j in range(i + 1, m)
                        if (a[j] - a[i]) * (b[j] - b[i]) < 0})
@@ -203,8 +248,38 @@ class _PathData:
             v = (_dot(a, ys), _dot(b, ys), ys)
             if not verts or v[:2] != verts[-1][:2]:
                 verts.append(v)
-        self.fronts[z] = verts
+        self.fronts[e] = verts
         return verts
+
+
+def _rank(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each station's place in the order of the (x, y) pairs, equal pairs
+    sharing one, so ranks compare as _greedy's key tuples do."""
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    rank = np.zeros(len(x), dtype=np.intp)
+    rank[order[1:]] = np.cumsum((xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]))
+    return rank
+
+
+def _greedy_rows(rank: np.ndarray, lo: np.ndarray, hi: np.ndarray, m: np.ndarray):
+    """_greedy on every row at once, with stop t of row i priced by
+    rank[i, t] and only its first m[i] stops real: yields (t, charges) for
+    each stop column in turn, the charges zero where t >= m[i]."""
+    n, k = rank.shape
+    rows = np.arange(n)
+    # A padding stop is never the next cheaper one.
+    rank = np.where(np.arange(k) < m[:, None], rank, np.iinfo(rank.dtype).max)
+    prev = np.zeros(n)
+    for t in range(k):
+        nxt = m
+        for s in range(k - 1, t, -1):
+            nxt = np.where(rank[:, s] < rank[:, t], s, nxt)
+        cum = np.maximum(np.maximum(np.minimum(np.minimum(lo[rows, nxt - 1], hi[:, t]),
+                                               prev + 1.0), lo[:, t]), prev)
+        cum = np.where(t < m, cum, prev)
+        yield t, cum - prev
+        prev = cum
 
 
 def _greedy(lo: list[float], hi: list[float], key: list) -> list[float]:
@@ -223,7 +298,12 @@ def _greedy(lo: list[float], hi: list[float], key: list) -> list[float]:
 
 
 def _dot(xs: list[float], ys: list[float]) -> float:
-    return sum(x * y for x, y in zip(xs, ys))
+    """Left to right, as _SubsetTable's array passes, whatever the Python
+    version."""
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total += x * y
+    return total
 
 
 def _first_within(verts: list, cap: float) -> tuple | None:
@@ -241,27 +321,26 @@ def _first_within(verts: list, cap: float) -> tuple | None:
     return None
 
 
-def _charge_solve(pd: _PathData, sub: tuple, wt: float, wc: float,
+def _charge_solve(table: _SubsetTable, e: int, wt: float, wc: float,
                   cost_cap: float) -> tuple[float, float, list[float]] | None:
-    """The best charges of one entry of pd.subsets, as (time, cost,
-    charges), or None; the entry's lower bounds have already checked the
-    cap of the empty subset.
+    """The best charges of entry e of table, as (time, cost, charges), or
+    None; the entry's lower bounds have already checked the cap of the
+    empty subset.
 
     Without a cap, best is least (wt * time + wc * cost, time, cost). Under
     a finite cost_cap it is least time, then least cost, with cost at most
     cost_cap, whatever the weights: the first point of the subset's front
     where the cap holds."""
-    _, _, z, t0, lo, hi = sub
-    if not z:
+    t0 = float(table.t0[e])
+    if not table.m[e]:
         return t0, 0.0, []
     if cost_cap == _INF:
         # Without a cap one greedy at the objective's prices is optimal,
         # with ties broken as the front's ends break them.
-        a = [pd.time_coef[j] for j in z]
-        b = [pd.price_coef[j] for j in z]
+        _, _, lo, hi, a, b = table.entry(e)
         ys = _greedy(lo, hi, [(wt * x + wc * y, x, y) for x, y in zip(a, b)])
         return t0 + _dot(a, ys), _dot(b, ys), ys
-    first = _first_within(pd.front(z, lo, hi), cost_cap)
+    first = _first_within(table.front(e), cost_cap)
     if first is None:
         return None
     a, b, ys = first
@@ -283,7 +362,7 @@ class PathPlan:
     value: float
 
 
-def _best_plan(instance: Instance, pdatas: list[_PathData], objective: str,
+def _best_plan(instance: Instance, table: _SubsetTable, objective: str,
                weights: tuple[float, float] | None = None,
                cost_cap: float | None = None) -> PathPlan | None:
     """The best plan over every stop subset of every path, in one scan.
@@ -302,53 +381,53 @@ def _best_plan(instance: Instance, pdatas: list[_PathData], objective: str,
     ccap = _INF if cost_cap is None else cost_cap
     best_key = (_INF, _INF)
     best = None
-    for pd in pdatas:
-        for sub in pd.subsets:
-            time_lb, cost_lb = sub[0], sub[1]
-            if cost_lb > ccap + _CAP_SLACK or not _better(
-                    (wt * time_lb + wc * cost_lb, st * time_lb + sc * cost_lb), best_key):
-                continue
-            solved = _charge_solve(pd, sub, wt, wc, ccap)
-            if solved is None:
-                continue
-            t, c, ys = solved
-            key = (wt * t + wc * c, st * t + sc * c)
-            if _better(key, best_key):
-                best_key, best = key, (pd.path, sub[2], ys)
+    time_lb, cost_lb = table.time_lb.tolist(), table.cost_lb.tolist()
+    for e in np.flatnonzero(table.cost_lb <= ccap + _CAP_SLACK).tolist():
+        t, c = time_lb[e], cost_lb[e]
+        if not _better((wt * t + wc * c, st * t + sc * c), best_key):
+            continue
+        solved = _charge_solve(table, e, wt, wc, ccap)
+        if solved is None:
+            continue
+        t, c, charges = solved
+        key = (wt * t + wc * c, st * t + sc * c)
+        if _better(key, best_key):
+            best_key, best, ys = key, e, charges
 
     if best is None:
         return None
-    path, z, ys = best
+
+    path = table.paths[table.path[best]]
+    z = table.stops[best, :table.m[best]].tolist()
     plan = {path[j]: y for j, y in zip(z, ys) if y > CHARGE_EPS}
     sol = RouteSolution(path=path, charge_plan=plan)
     obj = model.evaluate(instance, sol)
     return PathPlan(objectives=obj, solution=sol, value=wt * obj.time_h + wc * obj.cost)
 
 
-def _prepare(instance: Instance) -> list[_PathData]:
-    return [_PathData(instance, p) for p in enumerate_paths(instance.graph)]
+def _prepare(instance: Instance) -> _SubsetTable:
+    return _SubsetTable(instance, enumerate_paths(instance.graph))
 
 
-def _diagnose(pdatas: list[_PathData]) -> str:
-    if not pdatas:
+def _diagnose(table: _SubsetTable) -> str:
+    if not table.paths:
         return "no S->D path exists in the graph"
-    pd = pdatas[0]
-    j = pd.blocked_leg()
-    if j is None:
+    path, j = table.paths[0], int(table.blocked[0])
+    if j < 0:
         return "no feasible charge plan on any path"
-    names = ["S"] + [str(u) for u in pd.path] + ["D"]
+    names = ["S"] + [str(u) for u in path] + ["D"]
     return (f"no feasible charge plan on any path; on path "
-            f"{'-'.join(str(u) for u in pd.path)} the leg "
-            f"{names[j]}->{names[j + 1]} ({(pd.legs + [pd.d_dest])[j]:.1f} km) "
+            f"{'-'.join(str(u) for u in path)} the leg "
+            f"{names[j]}->{names[j + 1]} ({table.legs[0, j]:.1f} km) "
             f"cannot be crossed even charging to full at every station")
 
 
 def _global_optimum(instance: Instance, objective: str,
                     weights: tuple[float, float] | None = None) -> PathPlan:
-    pdatas = _prepare(instance)
-    plan = _best_plan(instance, pdatas, objective, weights)
+    table = _prepare(instance)
+    plan = _best_plan(instance, table, objective, weights)
     if plan is None:
-        raise InfeasibleInstanceError(_diagnose(pdatas))
+        raise InfeasibleInstanceError(_diagnose(table))
     return plan
 
 
@@ -380,11 +459,11 @@ def epsilon_constraint(instance: Instance, delta: float | None = None) -> Pareto
     cost minus delta until the sweep passes the least-cost extreme or goes
     infeasible. delta=None uses a twentieth of the observed cost range.
     """
-    pdatas = _prepare(instance)
-    top = _best_plan(instance, pdatas, "time")
+    table = _prepare(instance)
+    top = _best_plan(instance, table, "time")
     if top is None:
-        raise InfeasibleInstanceError(_diagnose(pdatas))
-    bottom = _best_plan(instance, pdatas, "cost")
+        raise InfeasibleInstanceError(_diagnose(table))
+    bottom = _best_plan(instance, table, "cost")
     points = [_point(top), _point(bottom)]
 
     hi, lo = top.objectives.cost, bottom.objectives.cost
@@ -396,7 +475,7 @@ def epsilon_constraint(instance: Instance, delta: float | None = None) -> Pareto
         raise ValueError("delta must be > 0")
 
     planned = (hi - lo) / delta
-    entries = sum(len(pd.subsets) for pd in pdatas)
+    entries = len(table)
     if planned * entries > DEFAULT_EVAL_CAP:
         raise ResourceCapError(
             f"budget sweep would run about {planned:.3g} rounds over {entries} "
@@ -405,7 +484,7 @@ def epsilon_constraint(instance: Instance, delta: float | None = None) -> Pareto
     for _ in range(int(planned) + 10):
         if eps < lo - TIE_TOL:
             break
-        plan = _best_plan(instance, pdatas, "time", cost_cap=eps)
+        plan = _best_plan(instance, table, "time", cost_cap=eps)
         if plan is None:
             break
         points.append(_point(plan))

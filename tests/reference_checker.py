@@ -7,13 +7,23 @@ share no code path. Missing edges carry a 100000 km sentinel distance.
 
 reference_oracle is the grid oracle as one model.try_evaluate call per
 candidate, the reference for exact.grid_oracle's array mesh.
+
+reference_subsets is the exact solver's stop-subset table of one path as a
+depth-first walk with scalar greedy solves, the reference for the table
+that exact builds over every path at once.
+
+shuffle_ids permutes an instance's node ids, for the checks that id order
+must not matter.
 """
+import dataclasses
 import itertools
 
 import numpy as np
 
 from evroute import model
-from evroute.exact import enumerate_paths
+from evroute.exact import _dot, _greedy, enumerate_paths
+from evroute.instance import RouteGraph
+from evroute.model import SOLVER_SOC_SLACK
 from evroute.pareto import FrontPoint, filter_nondominated
 
 SENTINEL_KM = 1e5
@@ -141,3 +151,78 @@ def reference_oracle(instance, grid_n):
             if obj is not None:
                 points.append(FrontPoint(obj.time_h, obj.cost, sol))
     return filter_nondominated(points)
+
+
+def reference_subsets(instance, path):
+    """(time_lb, cost_lb, z, t0, lo, hi) for every stop subset z that can
+    make path feasible, by size and then lexicographically, with the
+    meanings of exact's table; every sum runs left to right. A path with a
+    leg that a full battery at every station cannot cross has none."""
+    g, p = instance.graph, instance.params
+    k, r, alpha = len(path), p.range_km, p.initial_soc
+    legs = [g.source_dist[path[0]]] + [g.edges[(path[i - 1], path[i])] for i in range(1, k)]
+    d_dest = g.dest_dist[path[-1]]
+    stations = [instance.stations[u] for u in path]
+    delta = [s.detour_km for s in stations]
+    stop_time = [s.detour_km / p.speed_kmh + s.wait_h for s in stations]
+    price_coef = [p.capacity_kwh * s.price for s in stations]
+    time_coef = [p.capacity_kwh / s.power_kw for s in stations]
+    full = [alpha] + [1.0] * k
+    if any(d > full[j] * r + SOLVER_SOC_SLACK * r for j, d in enumerate(legs + [d_dest])):
+        return []
+    drive = 0.0
+    for leg in legs:
+        drive += leg
+    drive_time = (drive + d_dest) / p.speed_kmh
+    found = []
+
+    # Charging to the brim at every chosen stop maximizes every prefix SOC,
+    # so this greedy pass decides subset feasibility. depl is the battery
+    # used up to a node, its stop detour included.
+    def walk(j, acc, prev, soc, z, depl_z):
+        if j == k:
+            if soc - d_dest / r >= -SOLVER_SOC_SLACK:
+                found.append((z, depl_z, prev))
+            return
+        for stop in (False, True):
+            a = acc + (legs[j] + (delta[j] if stop else 0.0))
+            depl = a / r
+            left = soc - (depl - prev)
+            if left < -SOLVER_SOC_SLACK:
+                continue
+            if stop:
+                walk(j + 1, a, depl, 1.0, z + (j,), depl_z + (depl,))
+            else:
+                walk(j + 1, a, depl, left, z, depl_z)
+
+    walk(0, 0.0, 0.0, alpha, (), ())
+    found.sort(key=lambda f: (len(f[0]), f[0]))
+    out = []
+    for z, depl_z, depl_end in found:
+        total = 0.0
+        for j in z:
+            total += stop_time[j]
+        t0 = drive_time + total
+        need = max(0.0, depl_end + d_dest / r - alpha)
+        lo = [max(0.0, d - alpha) for d in depl_z[1:]] + [need]
+        hi = [1.0 - alpha + d for d in depl_z]
+        a = [time_coef[j] for j in z]
+        b = [price_coef[j] for j in z]
+        ys_t = _greedy(lo, hi, list(zip(a, b)))
+        ys_c = _greedy(lo, hi, list(zip(b, a)))
+        out.append((t0 + _dot(a, ys_t), _dot(b, ys_c), z, t0, lo, hi))
+    return out
+
+
+def shuffle_ids(inst, seed):
+    """The same instance with its node ids permuted, so that id order and
+    layer order disagree (the lowest id may sit in any layer)."""
+    g = inst.graph
+    nodes = g.node_ids()
+    new = dict(zip(nodes, np.random.default_rng(seed).permutation(len(nodes)).tolist()))
+    graph = RouteGraph(tuple(tuple(new[u] for u in layer) for layer in g.levels),
+                       {(new[i], new[j]): d for (i, j), d in g.edges.items()},
+                       {new[u]: d for u, d in g.source_dist.items()},
+                       {new[u]: d for u, d in g.dest_dist.items()})
+    stations = {new[u]: dataclasses.replace(s, id=new[u]) for u, s in inst.stations.items()}
+    return dataclasses.replace(inst, graph=graph, stations=stations)

@@ -1,6 +1,8 @@
 """Exact solvers: path enumeration, per-path charge optima, epsilon sweep,
 grid oracle. Hand-solvable instances carry the closed-form reference values,
 and HiGHS, through evroute.lp, is the reference for the greedy charge solve."""
+import dataclasses
+import hashlib
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -19,8 +21,8 @@ from evroute.instance import (Instance, RouteGraph, Station, VehicleParams,
                               generate_instance)
 from evroute.lp import OPTIMAL, solve_lp
 from evroute.model import _soc_scan, evaluate
-from evroute.pareto import dominates
-from reference_checker import reference_oracle
+from evroute.pareto import dominates, write_front_csv
+from reference_checker import reference_oracle, reference_subsets, shuffle_ids
 
 
 def station(u, price, power, level, wait=1.0, detour=10.0):
@@ -244,7 +246,7 @@ class TestClosedForms:
 
 
 def one_path_plan(inst, path, objective, cost_cap=None):
-    return exact._best_plan(inst, [exact._PathData(inst, path)], objective,
+    return exact._best_plan(inst, exact._SubsetTable(inst, [path]), objective,
                             cost_cap=cost_cap)
 
 
@@ -288,20 +290,23 @@ class TestOptimizePath:
                 weighted_optimum(inst, weights)
 
 
-def lp_charge_value(pd, z, weights, cost_cap, held=None):
-    """One subset's charge problem as a linear program over the charges,
-    with the rows the exact solver built before its greedy closed form;
-    held = (weights, bound) adds the row weights . (time, cost) <= bound.
-    Returns HiGHS's value, the most by which its plan breaks a row and the
-    amount by which it breaks the cost cap (0.0 without a cap), or None
-    when HiGHS finds the problem infeasible."""
-    k, r, alpha = pd.k, pd.r, pd.alpha
+def lp_charge_value(inst, table, e, weights, cost_cap, held=None):
+    """The charge problem of entry e of table as a linear program over the
+    charges, with the rows the exact solver built before its greedy closed
+    form; held = (weights, bound) adds the row weights . (time, cost) <=
+    bound. Returns HiGHS's value, the most by which its plan breaks a row
+    and the amount by which it breaks the cost cap (0.0 without a cap), or
+    None when HiGHS finds the problem infeasible."""
+    g, params = inst.graph, inst.params
+    path = table.paths[table.path[e]]
+    z, t0, _, _, time_coef, price_coef = table.entry(e)
+    k, r, alpha = len(path), params.range_km, params.initial_soc
+    legs = [g.source_dist[path[0]]] + [g.edges[step] for step in zip(path, path[1:])]
     depl = []
     acc = 0.0
     for j in range(k):
-        acc += pd.legs[j] + (pd.delta[j] if j in z else 0.0)
+        acc += legs[j] + (inst.stations[path[j]].detour_km if j in z else 0.0)
         depl.append(acc / r)
-    t0 = pd.drive_time + sum(pd.stop_time[j] for j in z)
     nv = len(z)
     rows, rhs = [], []
     for j in range(k):
@@ -315,16 +320,16 @@ def lp_charge_value(pd, z, weights, cost_cap, held=None):
     # Reaching D buys what the whole trip uses beyond alpha, summed in the
     # solver's order: (alpha - depl) - d/r can round an ulp away from it.
     rows.append([-1.0] * nv)
-    rhs.append(alpha - (depl[-1] + pd.d_dest / r))
+    rhs.append(alpha - (depl[-1] + g.dest_dist[path[-1]] / r))
     if cost_cap is not None:
-        rows.append([pd.price_coef[j] for j in z])
+        rows.append(price_coef)
         rhs.append(cost_cap)
     if held is not None:
         (ht, hc), bound = held
-        rows.append([ht * pd.time_coef[j] + hc * pd.price_coef[j] for j in z])
+        rows.append([ht * x + hc * y for x, y in zip(time_coef, price_coef)])
         rhs.append(bound - ht * t0)
     wt, wc = weights
-    coefs = [wt * pd.time_coef[j] + wc * pd.price_coef[j] for j in z]
+    coefs = [wt * x + wc * y for x, y in zip(time_coef, price_coef)]
     status, x, val = solve_lp(coefs, rows, rhs, [1.0] * nv)
     if status != OPTIMAL:
         return None
@@ -333,21 +338,21 @@ def lp_charge_value(pd, z, weights, cost_cap, held=None):
     # In exact arithmetic: a break below an ulp of the cap still moves the
     # closed form's answer there.
     cap_excess = 0.0 if cost_cap is None else float(max(0, sum(
-        Fraction(pd.price_coef[j]) * Fraction(xi) for j, xi in zip(z, x))
+        Fraction(c) * Fraction(xi) for c, xi in zip(price_coef, x))
         - Fraction(cost_cap)))
     return wt * t0 + val, excess, cap_excess
 
 
-def greedy_charge_value(pd, sub, weights, cost_cap):
-    """The closed form's (time, cost) for one subset, or None."""
-    solved = exact._charge_solve(pd, sub, *weights,
+def greedy_charge_value(table, e, weights, cost_cap):
+    """The closed form's (time, cost) for one entry, or None."""
+    solved = exact._charge_solve(table, e, *weights,
                                  float("inf") if cost_cap is None else cost_cap)
     return None if solved is None else solved[:2]
 
 
 def line_path(alpha, legs, stations):
-    """_PathData of the line of stations 1..k, from S over legs[0] to D
-    over legs[k], at initial SOC alpha."""
+    """The line of stations 1..k, from S over legs[0] to D over legs[k], at
+    initial SOC alpha, and the stop-subset table of its one path."""
     k = len(stations)
     graph = RouteGraph(tuple((u,) for u in range(1, k + 1)),
                        {(u, u + 1): legs[u] for u in range(1, k)},
@@ -355,7 +360,7 @@ def line_path(alpha, legs, stations):
     inst = Instance(params=VehicleParams(initial_soc=alpha),
                     stations={s.id: s for s in stations}, graph=graph, seed=0,
                     shape=(k, 1, 1.0))
-    return exact._PathData(inst, tuple(range(1, k + 1)))
+    return inst, exact._SubsetTable(inst, [tuple(range(1, k + 1))])
 
 
 @st.composite
@@ -369,26 +374,25 @@ def charge_problems(draw):
     legs += [draw(st.floats(0.0, 560.0)) for _ in range(k)]
     power = st.sampled_from([7.0, 22.0, 50.0]) | st.floats(5.0, 150.0)
     price = st.sampled_from([0.1, 0.2, 0.3]) | st.floats(0.05, 0.5)
-    pd = line_path(alpha, legs, [
+    inst, table = line_path(alpha, legs, [
         Station(id=u, level="L2", power_kw=draw(power), price=draw(price),
                 wait_h=draw(st.floats(0.0, 2.0)),
                 detour_km=draw(st.floats(0.0, 60.0)))
         for u in range(1, k + 1)])
-    subs = [sub for sub in pd.subsets if sub[2]]
+    subs = [e for e in range(len(table)) if table.m[e]]
     if not subs:
         return None
-    sub = draw(st.sampled_from(subs))
+    e = draw(st.sampled_from(subs))
     objective = draw(st.sampled_from(["time", "cost", "weighted"]))
     weights = {"time": (1.0, 0.0), "cost": (0.0, 1.0)}.get(objective) or \
         (draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0)))
-    _, _, z, t0, lo, hi = sub
-    verts = pd.front(z, lo, hi)
+    verts = table.front(e)
     cmin, cmax = verts[-1][1], verts[0][1]
     cost_cap = None
     # A cost cap serves only the budget rounds, which minimize time.
     if objective == "time" and draw(st.booleans()):
         cost_cap = cmin + draw(st.floats(-0.25, 1.25)) * (cmax - cmin)
-    return pd, sub, objective, weights, cost_cap
+    return inst, table, e, objective, weights, cost_cap
 
 
 def one_ulp_price_tie():
@@ -396,13 +400,13 @@ def one_ulp_price_tie():
     least cost: HiGHS beats the closed form's least time by 3e-3 h with a
     plan that breaks the cap by about 1.5e-18, a hair the closed form's
     exact plan does not take."""
-    pd = line_path(0.5, [150.0, 150.0, 1.0], [
+    inst, table = line_path(0.5, [150.0, 150.0, 1.0], [
         Station(id=1, level="L2", power_kw=8.0, price=math.nextafter(0.05, 1),
                 wait_h=0.0, detour_km=0.0),
         Station(id=2, level="L2", power_kw=7.0, price=0.05, wait_h=0.0,
                 detour_km=0.0)])
-    sub = next(sub for sub in pd.subsets if sub[2] == (0, 1))
-    return pd, sub, "time", (1.0, 0.0), sub[1]
+    e = next(e for e in range(len(table)) if table.entry(e)[0] == (0, 1))
+    return inst, table, e, "time", (1.0, 0.0), float(table.cost_lb[e])
 
 
 class TestChargeSolveAgainstLp:
@@ -412,9 +416,9 @@ class TestChargeSolveAgainstLp:
     def test_greedy_matches_highs(self, problem):
         if problem is None:
             return
-        pd, sub, objective, weights, cost_cap = problem
-        got = greedy_charge_value(pd, sub, weights, cost_cap)
-        ref = lp_charge_value(pd, sub[2], weights, cost_cap)
+        inst, table, e, objective, weights, cost_cap = problem
+        got = greedy_charge_value(table, e, weights, cost_cap)
+        ref = lp_charge_value(inst, table, e, weights, cost_cap)
         if (got is None) != (ref is None):
             # Verdicts may differ only at the boundary: where moving the
             # cap by 1e-9 relative flips the closed form's verdict, or
@@ -424,7 +428,7 @@ class TestChargeSolveAgainstLp:
             # plan the closed form missed.
             def nudged(eps):
                 return greedy_charge_value(
-                    pd, sub, weights,
+                    table, e, weights,
                     None if cost_cap is None else cost_cap + eps * (1 + abs(cost_cap)))
             assert nudged(-1e-9) is None
             assert nudged(1e-9) is not None or ref[1] > 1e-9
@@ -434,7 +438,7 @@ class TestChargeSolveAgainstLp:
             # at the cap asked for.
             wt, wc = weights
             tol = 1e-9 * (1 + abs(ref[0]))
-            met = greedy_charge_value(pd, sub, weights,
+            met = greedy_charge_value(table, e, weights,
                                       None if cost_cap is None else cost_cap + ref[2])
             assert wt * met[0] + wc * met[1] - tol <= ref[0] <= \
                 wt * got[0] + wc * got[1] + tol
@@ -444,13 +448,14 @@ class TestChargeSolveAgainstLp:
                 # lexicographic optimum. Moving charge between two stops
                 # trades the objectives at the ratio of their coefficients,
                 # so the slack buys at most s times the steepest ratio r.
-                z = sub[2]
-                p, q = ((pd.time_coef, pd.price_coef) if objective == "time"
-                        else (pd.price_coef, pd.time_coef))
+                _, _, _, _, time_coef, price_coef = table.entry(e)
+                p, q = ((time_coef, price_coef) if objective == "time"
+                        else (price_coef, time_coef))
                 r = max([abs(q[i] - q[j]) / abs(p[i] - p[j])
-                         for i in z for j in z if p[i] != p[j]], default=0.0)
+                         for i in range(len(p)) for j in range(len(p)) if p[i] != p[j]],
+                        default=0.0)
                 s = 1e-9 * (1 + abs(ref[0]))
-                second = lp_charge_value(pd, z, (wc, wt), cost_cap,
+                second = lp_charge_value(inst, table, e, (wc, wt), cost_cap,
                                          held=(weights, ref[0] + s))
                 assert second is not None
                 tol = 1e-9 * (1 + abs(second[0]))
@@ -458,7 +463,100 @@ class TestChargeSolveAgainstLp:
                     second[0] + r * s + tol
 
 
+def table_rows(table):
+    """Every entry of a stop-subset table in reference_subsets' layout,
+    led by its path."""
+    rows = []
+    for e in range(len(table)):
+        z, t0, lo, hi, _, _ = table.entry(e)
+        rows.append((table.paths[table.path[e]], float(table.time_lb[e]),
+                     float(table.cost_lb[e]), z, t0, lo, hi))
+    return rows
+
+
+@st.composite
+def table_cases(draw):
+    """Generated instances at initial SOC 0 to 1, at ranges where some legs
+    block and some paths need no stop, with prices on a coarse grid so that
+    stops tie in both coefficients, and with ids shuffled out of layer
+    order. At SOC 0 the source legs and the first layer's detours are 0 km,
+    so that stopping at the first station can save the path."""
+    soc = draw(st.sampled_from([1.0, 0.5, 0.0]))
+    params = VehicleParams(initial_soc=soc,
+                           km_per_kwh=draw(st.sampled_from([6.0, 3.5, 12.0])))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+             draw(st.sampled_from([0.5, 1.0])))
+    inst = generate_instance(shape, params, seed=draw(st.integers(0, 10**6)))
+    g = inst.graph
+    if soc == 0.0:
+        inst = dataclasses.replace(
+            inst, graph=RouteGraph(g.levels, g.edges, dict.fromkeys(g.source_dist, 0.0),
+                                   g.dest_dist),
+            stations={u: dataclasses.replace(s, detour_km=0.0) if u in g.source_dist else s
+                      for u, s in inst.stations.items()})
+    if draw(st.booleans()):
+        inst = dataclasses.replace(inst, stations={
+            u: dataclasses.replace(s, price=round(s.price, 2))
+            for u, s in inst.stations.items()})
+    if draw(st.booleans()):
+        inst = shuffle_ids(inst, draw(st.integers(0, 2**32 - 1)))
+    return inst
+
+
+class TestSubsetTable:
+    @settings(max_examples=300, deadline=None)
+    @given(table_cases())
+    @example(forced_stop_line())
+    @example(free_ride_line())
+    @example(final_leg_line())
+    @example(dead_branch_diamond())
+    @example(tight_range_line())
+    @example(identical_stops_line())
+    @example(priced_diamond(0.1, 7.0, "L1", 0.3, 50.0, "L3"))
+    @example(one_ulp_price_tie()[0])
+    def test_equals_scalar_walk(self, inst):
+        # order, stops, t0, lo, hi and both greedy bounds, bit
+        # for bit (repr tells every float apart, -0.0 from 0.0 too)
+        paths = enumerate_paths(inst.graph)
+        table = exact._prepare(inst)
+        assert table.paths == paths
+        want = [(path,) + row for path in paths for row in reference_subsets(inst, path)]
+        assert repr(table_rows(table)) == repr(want)
+
+    def test_blocked_paths_have_no_entries(self):
+        inst = dead_branch_diamond()
+        table = exact._prepare(inst)
+        assert table.paths == [(1, 2, 4), (1, 3, 4)]
+        assert table.blocked.tolist() == [-1, 1]
+        assert set(table.path.tolist()) == {0}
+
+
+# sha256 of write_front_csv for epsilon_constraint on every preset, as
+# Python 3.10 and 3.11 write it; exact's sums run left to right, so that
+# every Python version writes the same bytes.
+EPS_FRONT_SHA256 = {
+    ("instance1", 101): "9b2df661366bfb69c06c8a65bd5897a4048eeec01c70cbc4853562886b14c26e",
+    ("instance1", 202): "060ae238e4994fb58f6d3bcfc67fbf06de3e6749fdada4cb00d9feaed30993ac",
+    ("instance1", 303): "819184c15bf745cbca719ae78752344a9bdc0d4cea6dfd33d7adad94ae30ef19",
+    ("instance2", 101): "8c58db144f9b4192d8b35f3c3a116d22683870da46a9af862f68f58f49d3b486",
+    ("instance2", 202): "ada2b0c473aeba0723e5df8a20769de2473321c6d422cffc95da77f73186885f",
+    ("instance2", 303): "3ed27f5dc2f03c0eeafde7c860633ee3ef458a32976d0f3105d990f9ec12f25c",
+    ("instance3", 101): "2f95e67ad56233c9361f78ad9125c50715ada71643475dcd9514967a9bc3f82f",
+    ("instance3", 202): "f2af2c0d46beb807b656a3df2320ff030e16343719ddd6e61f3c758bb4afa277",
+    ("instance3", 303): "dc56f8e6bcd39c28fcf6745ed911526b09da2996359399610465afe04cd86b76",
+    ("instance4", 101): "450a4f29f1523b88fe698e579e640cf7424b29edd2a97a4f9d70d1c103c771d1",
+    ("instance4", 202): "01f0c67ff59a7cc2af383416a30d4fd93fef5aeb2cfaebb75c1131a94e1c9a7c",
+    ("instance4", 303): "8ffd8821376270ba8fb3ddcb52ad5bb62000ef1fa6c8358aecf5721e54a3a987",
+}
+
+
 class TestEpsilonConstraint:
+    @pytest.mark.parametrize("preset, seed", sorted(EPS_FRONT_SHA256))
+    def test_preset_csv_bytes(self, preset, seed, tmp_path):
+        out = tmp_path / "front.csv"
+        write_front_csv(epsilon_constraint(generate_instance(PRESETS[preset], seed=seed)), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EPS_FRONT_SHA256[preset, seed]
+
     def test_front_shape_invariants(self):
         for seed in (101, 102, 108):
             inst = preset1(seed)

@@ -1,7 +1,6 @@
 """Encoding/decoding, fitness, GA/PSO runs, diversity metrics, history CSV."""
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import math
 import threading
@@ -25,6 +24,7 @@ from evroute.metaheuristics import (HISTORY_CSV_COLUMNS, DecodeFailure,
 from evroute.model import (CHARGE_EPS, PENALTY_BASE, PlanArrays, RouteSolution,
                            _objectives, _soc_scan, check_feasible, evaluate,
                            penalized_fitness, try_evaluate)
+from reference_checker import shuffle_ids
 
 
 def station(u, price=0.134, power=50.0, level="L3", wait=1.0, detour=10.0):
@@ -168,20 +168,6 @@ def unsorted_instance(initial_soc):
     graph = RouteGraph(levels, edges, {10: 160.0, 3: 90.0}, {40: 200.0, 5: 310.0})
     return Instance(params=VehicleParams(initial_soc=initial_soc),
                     stations=stations, graph=graph, seed=0, shape=(3, 3, 1.0))
-
-
-def shuffle_ids(inst, seed):
-    """The same instance with its node ids permuted, so that id order and
-    layer order disagree (the lowest id may sit in any layer)."""
-    g = inst.graph
-    nodes = g.node_ids()
-    new = dict(zip(nodes, np.random.default_rng(seed).permutation(len(nodes)).tolist()))
-    graph = RouteGraph(tuple(tuple(new[u] for u in layer) for layer in g.levels),
-                       {(new[i], new[j]): d for (i, j), d in g.edges.items()},
-                       {new[u]: d for u, d in g.source_dist.items()},
-                       {new[u]: d for u, d in g.dest_dist.items()})
-    stations = {new[u]: dataclasses.replace(s, id=new[u]) for u, s in inst.stations.items()}
-    return dataclasses.replace(inst, graph=graph, stations=stations)
 
 
 def reference_fitness(inst, vector, weights):
