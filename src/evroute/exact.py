@@ -59,16 +59,20 @@ class InfeasibleInstanceError(RuntimeError):
     pass
 
 
-def count_paths(graph: RouteGraph) -> int:
-    """Number of S->D paths, by dynamic programming over the DAG."""
+def _paths_to_d(graph: RouteGraph) -> dict[int, int]:
+    """Number of paths from each node to D, by dynamic programming over the
+    DAG."""
     last = set(graph.last_layer)
     counts: dict[int, int] = {}
     for layer in reversed(graph.levels):
         for u in layer:
-            if u in last:
-                counts[u] = 1
-            else:
-                counts[u] = sum(counts[v] for v in graph.out_neighbors(u))
+            counts[u] = 1 if u in last else sum(counts[v] for v in graph.out_neighbors(u))
+    return counts
+
+
+def count_paths(graph: RouteGraph) -> int:
+    """Number of S->D paths."""
+    counts = _paths_to_d(graph)
     return sum(counts[u] for u in graph.first_layer)
 
 
@@ -78,22 +82,16 @@ def enumerate_paths(graph: RouteGraph) -> list[tuple[int, ...]]:
     Raises ResourceCapError before materializing anything when the DAG
     admits more than DEFAULT_PATH_CAP paths.
     """
-    total = count_paths(graph)
+    counts = _paths_to_d(graph)
+    total = sum(counts[u] for u in graph.first_layer)
     if total > DEFAULT_PATH_CAP:
         raise ResourceCapError(f"graph admits {total} S->D paths, "
                                f"above the cap of {DEFAULT_PATH_CAP}")
-    last = set(graph.last_layer)
-    paths: list[tuple[int, ...]] = []
-
-    def walk(prefix: tuple[int, ...], u: int) -> None:
-        if u in last:
-            paths.append(prefix)
-            return
-        for v in graph.out_neighbors(u):
-            walk(prefix + (v,), v)
-
-    for s in sorted(graph.first_layer):
-        walk((s,), s)
+    # Edges join consecutive layers, so one sweep per layer extends every
+    # prefix; keeping only nodes that reach D bounds each sweep by the total.
+    paths = [(s,) for s in sorted(graph.first_layer) if counts[s]]
+    for _ in graph.levels[1:]:
+        paths = [p + (v,) for p in paths for v in graph.out_neighbors(p[-1]) if counts[v]]
     return paths
 
 
@@ -115,6 +113,9 @@ class _SubsetTable:
     blocked the first leg that a full battery at every station cannot
     cross, or -1. No stop subset can make a path with such a leg feasible,
     so it has no entry.
+
+    Raises ResourceCapError as soon as the rows alive after a layer, times
+    the layers, exceed DEFAULT_EVAL_CAP.
     """
 
     def __init__(self, instance: Instance, paths: list[tuple[int, ...]]):
@@ -163,6 +164,10 @@ class _SubsetTable:
             depl = a / r
             left = np.repeat(soc, 2) - (depl - np.repeat(prev, 2))
             keep = np.flatnonzero(left >= -SOLVER_SOC_SLACK)
+            if len(keep) * k > DEFAULT_EVAL_CAP:
+                raise ResourceCapError(
+                    f"stop-subset table holds {len(keep)} rows after layer {j + 1} "
+                    f"of {k}, above the cap of {DEFAULT_EVAL_CAP} rows x layers")
             parent, stop = keep // 2, keep % 2 == 0
             path, m, stops, depl_z = path[parent], m[parent], stops[parent], depl_z[parent]
             acc, prev = a[keep], depl[keep]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -310,35 +310,13 @@ def _ahead(draw, count: int):
     caller works on item k, so the draws keep their serial order. An error in
     draw() is raised at its item. The worker is joined when the generator
     ends or is closed (use contextlib.closing)."""
-    slot = []
-    free, full = threading.Semaphore(1), threading.Semaphore(0)
-    stop = False
-
-    def work():
-        for _ in range(count):
-            free.acquire()
-            if stop:
-                return
-            try:
-                slot.append((draw(), None))
-            except BaseException as exc:  # the caller raises it at this item
-                slot.append((None, exc))
-            full.release()
-
-    thread = threading.Thread(target=work, name="evroute-draws", daemon=True)
-    thread.start()
-    try:
-        for _ in range(count):
-            full.acquire()
-            item, exc = slot.pop()
-            if exc is not None:
-                raise exc
-            free.release()
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="evroute-draws") as pool:
+        pending = pool.submit(draw) if count > 0 else None
+        for k in range(count):
+            item = pending.result()
+            if k + 1 < count:
+                pending = pool.submit(draw)
             yield item
-    finally:
-        stop = True
-        free.release()
-        thread.join()
 
 
 def run_ga(instance: Instance, cfg: SearchConfig,

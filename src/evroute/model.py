@@ -136,11 +136,6 @@ def _path_violations(instance: Instance, path: tuple[int, ...]) -> list[Violatio
         if outdeg[u] > 1:
             viols.append(Violation("c6", float(outdeg[u] - 1),
                                    f"node {u} is left {outdeg[u]} times"))
-        balance = (indeg[u] + (1 if u == path[0] else 0)
-                   - outdeg[u] - (1 if u == path[-1] else 0))
-        if balance != 0:
-            viols.append(Violation("c7", float(abs(balance)),
-                                   f"flow imbalance {balance} at node {u}"))
     return viols
 
 

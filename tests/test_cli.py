@@ -267,6 +267,19 @@ class TestSolve:
         assert rc == EXIT_RESOURCE
         assert "resource cap: graph admits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", ["60", "1100"])
+    def test_subset_table_cap_exit(self, outdir, capsys, levels):
+        # One station per layer: the stop subsets double at every layer
+        # until the battery prunes them, and 1,100 layers outgrow recursion.
+        main(["generate", "--levels", levels, "--max-per-level", "1",
+               "--p-edge", "1.0", "--seed", "1", "--out", str(outdir / "chain.json")])
+        rc = main(["solve", "--instance", str(outdir / "chain.json"),
+                   "--method", "exact-time"])
+        assert rc == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "resource cap: stop-subset table holds" in err
+        assert f"of {levels}, above the cap of" in err
+
     @pytest.mark.parametrize("delta", ["1e-12", "1e-320"])
     def test_tiny_delta_hits_resource_cap(self, outdir, capsys, delta):
         main(["generate", "--preset", "instance1", "--seed", "108"])

@@ -154,6 +154,10 @@ class TestPathEnumeration:
                 for u, v in zip(p, p[1:]):
                     assert v in graph.out_neighbors(u)
 
+    def test_deep_chain(self):
+        graph = generate_instance((1100, 1, 1.0), seed=1).graph
+        assert enumerate_paths(graph) == [tuple(u for (u,) in graph.levels)]
+
     def test_path_cap(self):
         graph = preset1(100).graph
         n = count_paths(graph)

@@ -395,6 +395,31 @@ class TestDrawThread:
         assert made == [1, 2, 3]
         assert threading.active_count() == before
 
+    def test_close_waits_for_the_draw_in_flight(self):
+        inside, release = threading.Event(), threading.Event()
+        started, ended = [], []
+
+        def draw():
+            started.append(len(started) + 1)
+            if len(started) == 2:
+                inside.set()
+                release.wait()
+            ended.append(started[-1])
+            return started[-1]
+
+        before = threading.active_count()
+        items = _ahead(draw, 5)
+        assert next(items) == 1
+        assert inside.wait(10)
+        # Draw 2 is blocked in the worker; let it go only after close() began.
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        items.close()
+        assert ended == [1, 2]
+        assert started == [1, 2]
+        timer.join()
+        assert threading.active_count() == before
+
 
 class TestDiversity:
     def test_uniform_population_quarter(self):
